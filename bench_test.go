@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -696,4 +697,103 @@ func BenchmarkDistributedSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// proofStates replays the first steps of the human proofs of n theorems,
+// spread evenly over the corpus, and returns every state passed through
+// with the script prefix that reached it — the goal shapes a search meets
+// (hypotheses, induction hypotheses, inverted premises).
+func proofStates(b *testing.B, c *corpus.Corpus, n, steps int) (states []*tactic.State, paths [][]string, owners []*corpus.Theorem) {
+	b.Helper()
+	stride := max(1, len(c.Theorems)/n)
+	for t := 0; t < len(c.Theorems); t += stride {
+		th := c.Theorems[t]
+		exprs, err := tactic.ParseScript(th.Proof)
+		if err != nil {
+			b.Fatalf("%s: %v", th.Name, err)
+		}
+		st := tactic.NewState(c.Env, th.Stmt)
+		var path []string
+		for i := 0; i <= steps && !st.Done(); i++ {
+			states, paths, owners = append(states, st), append(paths, path), append(owners, th)
+			if i == len(exprs) {
+				break
+			}
+			if st, err = tactic.Apply(st, exprs[i]); err != nil {
+				b.Fatalf("%s step %d: %v", th.Name, i, err)
+			}
+			path = append(path[:len(path):len(path)], tactic.ExprString(exprs[i])+".")
+		}
+	}
+	return states, paths, owners
+}
+
+// BenchmarkModelPropose measures the simulated LLM's proposal step — the
+// structural, retrieval, and n-gram candidate pools, dedup, and the Gumbel
+// top-k sample — over states along human proofs, hint prompts, GPT-4o. Each
+// theorem gets a fresh Model, as each search does, and every state is
+// queried twice (a first sighting, then the memoized slate).
+func BenchmarkModelPropose(b *testing.B) {
+	b.ReportAllocs()
+	c := loadCorpus(b)
+	states, paths, owners := proofStates(b, c, 40, 6)
+	bld := prompt.Builder{Corpus: c, Setting: prompt.Hint, HintSet: prompt.HintSplit(c, 0.5, 1), Window: model.GPT4o.ContextWindow}
+	prompts := map[*corpus.Theorem]*prompt.Prompt{}
+	ngrams := map[*corpus.Theorem]*model.NGram{}
+	for _, th := range owners {
+		if prompts[th] == nil {
+			prompts[th] = bld.Build(th)
+			ngrams[th] = model.BuildNGram(prompts[th])
+		}
+	}
+	retr := model.NewRetrCache()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(2025))
+		var mdl *model.Model
+		for k, st := range states {
+			th := owners[k]
+			if k == 0 || owners[k-1] != th {
+				mdl = model.New(model.GPT4o, c.Env)
+				mdl.Retr = retr
+			}
+			for q := 0; q < 2; q++ {
+				mdl.Propose(prompts[th], st, paths[k], ngrams[th], rng)
+			}
+		}
+	}
+	b.ReportMetric(float64(2*len(states)), "queries/op")
+}
+
+// BenchmarkInversion measures `inversion H` — one subgoal per matching rule,
+// every rule freshened against the goal's names — on each inductive-predicate
+// hypothesis of the states along human proofs, as the model proposes it.
+func BenchmarkInversion(b *testing.B) {
+	b.ReportAllocs()
+	c := loadCorpus(b)
+	states, _, _ := proofStates(b, c, 120, 8)
+	type inv struct {
+		st       *tactic.State
+		sentence string
+	}
+	var cases []inv
+	for _, st := range states {
+		for _, h := range st.Goals[0].Hyps {
+			if h.Form.Kind == kernel.FPred && c.Env.Preds[h.Form.Pred] != nil {
+				cases = append(cases, inv{st, "inversion " + h.Name + "."})
+			}
+		}
+	}
+	if len(cases) == 0 {
+		b.Fatal("no inductive-predicate hypotheses in the sampled states")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cs := range cases {
+			if _, err := tactic.ApplySentence(cs.st, cs.sentence); err != nil {
+				b.Fatalf("%s: %v", cs.sentence, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(cases)), "inversions/op")
 }

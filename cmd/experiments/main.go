@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -71,6 +72,22 @@ func main() {
 		straggler   = flag.Duration("straggler", sweep.DefaultStragglerAfter, "distributed sweep: duplicate a unit still in flight after this long on an idle worker (negative: never)")
 	)
 	flag.Parse()
+	mirrorSet := false
+	flag.Visit(func(f *flag.Flag) { mirrorSet = mirrorSet || f.Name == "proof-cache-mirror" })
+	if err := validateFlags(options{
+		backend:          *backend,
+		faults:           *faults,
+		faultSeed:        *faultSeed,
+		workers:          *workers,
+		workerAddrs:      *workerAddrs,
+		proofCache:       *proofCache,
+		proofCacheRO:     *proofCacheRO,
+		proofCacheMirror: *proofCacheMirror,
+		mirrorSet:        mirrorSet,
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	kernel.SetInterning(*intern)
 	if !(*fig1a || *fig1b || *table1 || *table2 || *fig2 || *probe || *whole || *ablate) {
 		*all = true
@@ -143,9 +160,6 @@ func main() {
 	runGrid := r.RunGrid
 	var finishBackend func()
 	if *workers > 0 || *workerAddrs != "" {
-		if *backend == "remote" {
-			log.Fatalf("-workers/-worker-addrs and -backend=remote are mutually exclusive (a fleet IS remote backends)")
-		}
 		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout, *wireBatch)
 	} else {
 		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout, *wireBatch)
@@ -230,6 +244,54 @@ func main() {
 	}
 }
 
+// options holds the flags whose combinations validateFlags checks.
+type options struct {
+	backend, faults         string
+	faultSeed               int64
+	workers                 int
+	workerAddrs, proofCache string
+	proofCacheRO            bool
+	proofCacheMirror        int
+	mirrorSet               bool // -proof-cache-mirror given on the command line
+}
+
+// validateFlags rejects flag combinations that cannot work or that would
+// be silently ignored, before any work starts.
+func validateFlags(o options) error {
+	fleet := o.workers > 0 || o.workerAddrs != ""
+	switch o.backend {
+	case "inprocess", "remote":
+	default:
+		return fmt.Errorf("unknown -backend %q (want inprocess or remote)", o.backend)
+	}
+	if o.workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
+	}
+	if fleet && o.backend == "remote" {
+		return errors.New("-workers/-worker-addrs and -backend=remote are mutually exclusive (a fleet IS remote backends)")
+	}
+	if o.faults != "" {
+		if o.backend != "remote" && !fleet {
+			return errors.New("-faults requires -backend=remote or a worker fleet (-workers/-worker-addrs)")
+		}
+		if _, err := faultpoint.ParsePlan(o.faultSeed, o.faults); err != nil {
+			return fmt.Errorf("-faults: %v", err)
+		}
+	}
+	if o.proofCacheMirror < 0 {
+		return fmt.Errorf("-proof-cache-mirror must be >= 0 (0 disables), got %d", o.proofCacheMirror)
+	}
+	if o.proofCache == "" {
+		if o.proofCacheRO {
+			return errors.New("-proof-cache-readonly has no effect without -proof-cache")
+		}
+		if o.mirrorSet {
+			return errors.New("-proof-cache-mirror has no effect without -proof-cache")
+		}
+	}
+	return nil
+}
+
 // faultSites renders the fault-site registry for the -faults usage string.
 func faultSites() string {
 	var names []string
@@ -245,15 +307,8 @@ func faultSites() string {
 // may be injected, but the two checkers disagreeing about logic must never
 // pass silently.
 func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSeed int64, wireTimeout time.Duration, wireBatch bool) func() {
-	switch kind {
-	case "inprocess":
-		if faultSpec != "" {
-			log.Fatalf("-faults requires -backend=remote")
-		}
+	if kind == "inprocess" {
 		return func() {}
-	case "remote":
-	default:
-		log.Fatalf("unknown -backend %q (want inprocess or remote)", kind)
 	}
 
 	plan, err := faultpoint.ParsePlan(faultSeed, faultSpec)

@@ -104,9 +104,8 @@ type Runner struct {
 	// Runner (width/fuel/algorithm changes never affect a memoized Try)
 	// keep sharing one cache.
 	trymemo *tryIndex
-	// retrIdx shares the model's retrieval indexes across every search of
-	// the grid (pure per-(prompt, n-gram, profile) data; see
-	// model.RetrCache).
+	// retrIdx shares the model's per-lemma retrieval analysis across every
+	// search of the grid (see model.RetrCache).
 	retrIdx *model.RetrCache
 	// persist holds the persistence fingerprints and the env registry for
 	// the end-of-run Try drain (see store.go).

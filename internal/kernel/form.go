@@ -257,28 +257,27 @@ func (f *Form) Subst1S(x string, t *Term, sc *Scratch) *Form {
 // FreeVars returns the free term variables of the formula.
 func (f *Form) FreeVars() map[string]bool {
 	out := map[string]bool{}
-	f.addFreeVars(out, map[string]bool{})
+	f.addFreeVars(out, nil)
 	return out
 }
 
+// AddFreeVars adds the free term variables of the formula to out, without
+// the intermediate sets FreeVars would build.
+func (f *Form) AddFreeVars(out map[string]bool) { f.addFreeVars(out, nil) }
+
+// addFreeVars adds f's free variables not in bound to out; bound is
+// allocated at the first binder (nil reads as empty).
 func (f *Form) addFreeVars(out, bound map[string]bool) {
 	if f == nil {
 		return
 	}
-	addTerm := func(t *Term) {
-		for v := range t.Vars() {
-			if !bound[v] {
-				out[v] = true
-			}
-		}
-	}
 	switch f.Kind {
 	case FEq:
-		addTerm(f.T1)
-		addTerm(f.T2)
+		f.T1.addFreeVars(out, bound)
+		f.T2.addFreeVars(out, bound)
 	case FPred:
 		for _, a := range f.Args {
-			addTerm(a)
+			a.addFreeVars(out, bound)
 		}
 	case FNot:
 		f.L.addFreeVars(out, bound)
@@ -286,6 +285,9 @@ func (f *Form) addFreeVars(out, bound map[string]bool) {
 		f.L.addFreeVars(out, bound)
 		f.R.addFreeVars(out, bound)
 	case FForall, FExists:
+		if bound == nil {
+			bound = map[string]bool{}
+		}
 		was := bound[f.Binder]
 		bound[f.Binder] = true
 		f.Body.addFreeVars(out, bound)

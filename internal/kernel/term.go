@@ -415,6 +415,29 @@ func (t *Term) addVars(out map[string]bool) {
 	}
 }
 
+// addFreeVars adds t's variables not in bound to out: the term case of
+// Form.addFreeVars, walking t directly instead of collecting t.Vars().
+func (t *Term) addFreeVars(out, bound map[string]bool) {
+	switch {
+	case t == nil || (t.hash != 0 && t.varSig == 0):
+		// No variables at all (the signature covers every name in t).
+	case t.Var != "":
+		if !bound[t.Var] {
+			out[t.Var] = true
+		}
+	case t.Match != nil:
+		for v := range t.Vars() {
+			if !bound[v] {
+				out[v] = true
+			}
+		}
+	default:
+		for _, a := range t.Args {
+			a.addFreeVars(out, bound)
+		}
+	}
+}
+
 // HasVar reports whether v occurs free in t.
 func (t *Term) HasVar(v string) bool {
 	switch {

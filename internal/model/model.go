@@ -1,18 +1,17 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
-	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/tactic"
 	"llmfscq/internal/textmetrics"
-	"sync"
 )
 
 // Candidate is one proposed next tactic with its log-probability (the
@@ -24,40 +23,39 @@ type Candidate struct {
 
 // Model is a simulated LLM: a capability profile bound to an environment
 // (used only to parse the lemma statements that are visible in the prompt).
-// A Model is owned by one proof search at a time: the retrieval index is a
-// per-(prompt, n-gram) memo and is not safe for concurrent Propose calls
+// A Model is owned by one proof search at a time: its memos are bound to
+// one (prompt, n-gram) pair and are not safe for concurrent Propose calls
 // on the same Model (grid workers each build their own).
 type Model struct {
 	Profile Profile
 	Env     *kernel.Env
-	// Retr, when set, shares retrieval indexes across the searches of a
-	// sweep (the runner owns one). A Model is per-search, but the index is
-	// a pure function of (prompt, n-gram, profile) — all pointer-stable
-	// across a runner — so rebuilding it per search only burned allocation.
+	// Retr, when set, shares the per-lemma retrieval analysis across the
+	// searches of a sweep (the runner owns one).
 	Retr *RetrCache
-	retr *retrIndex
-	norm map[string]string // candidate text -> dedup key memo
-	// scoreParts caches the candidate-local terms of NGram.Score (the
-	// unigram and head-word components, which depend only on the candidate
-	// text); the prev-dependent bigram row is hoisted out of the candidate
-	// loop instead of being memoized, which keeps the memo's cardinality at
-	// the candidate vocabulary rather than its product with every prev.
-	// Cleared when the n-gram changes.
-	scoreNG    *NGram
-	scoreParts map[string]scorePart
+	retr *retrIndex // index of the bound (prompt, n-gram) pair
+
+	// Dedup state, bound to retr (see bind). Every distinct dedup key gets
+	// a dense id from 1; pos and parts are indexed by it.
+	norm   map[string]normed // candidate text -> dedup key and id
+	ids    map[string]int32  // dedup key -> id
+	slotID []int32           // retrieval slot -> id (0: not yet resolved)
+	pos    []int32           // id -> 1 + position in the current slate (0: absent)
+	// parts caches the candidate-local terms of NGram.Score (the unigram
+	// and head-word components, which depend only on the candidate text);
+	// the prev-dependent bigram row is hoisted out of the candidate loop
+	// instead of being memoized, which keeps the memo's cardinality at the
+	// candidate vocabulary rather than its product with every prev.
+	parts []scorePart
+	// conts memoizes the keyed n-gram continuations per previous tactic.
+	conts map[string][]scored
+	slate map[[2]uint64]*slateEntry
 
 	// Propose scratch space, reused across the queries of a search. The
 	// sweep spends most of its time in Propose, and per-query maps and
 	// slices were the dominant allocation source.
 	pool, uniq, jpool []scored
-	slate             map[[2]uint64]*slateEntry
-	// byText indexes full-pool folds (slate-miss queries); overlay indexes
-	// only the per-query candidates layered over a memoized slate, so a
-	// memo-hit query clears a map holding a handful of entries instead of
-	// one sized for the whole pool.
-	byText, overlay   map[string]int
-	goalSyms, hypSyms map[string]bool
-	hypSymScratch     map[string]bool
+	occ               []symOcc
+	symBuf, hypHeads  []string
 	// scoreBuf packs the softmax lanes (utilities | probabilities | Gumbel
 	// keys) into one struct-of-arrays buffer: a single grow per slate size
 	// instead of three, and the lanes stay on the same cache lines.
@@ -70,11 +68,9 @@ type Model struct {
 // structural + retrieval pool, already normalized and deduplicated. A Model
 // serves one search, so its prompt and n-gram are fixed for its lifetime
 // and the entry depends on the goal identity alone; only the prev-dependent
-// continuations and the rng-driven noise are folded in per query. byText
-// maps dedup key -> index into uniq and is read-only after construction.
+// continuations and the rng-driven noise are folded in per query.
 type slateEntry struct {
-	uniq   []scored
-	byText map[string]int
+	uniq []scored
 }
 
 // New binds a profile to an environment.
@@ -85,14 +81,32 @@ func New(p Profile, env *kernel.Env) *Model { return &Model{Profile: p, Env: env
 // order as Score itself (floating-point addition does not reassociate).
 type scorePart struct {
 	u12, h05 float64
+	ok       bool
+}
+
+// normed is a candidate text's dedup key and that key's id (0 when the
+// text normalizes to nothing).
+type normed struct {
+	key string
+	id  int32
+}
+
+// dedupKey is the slate's dedup key of a candidate text: whitespace
+// normalized, without the sentence's final period.
+func dedupKey(text string) string {
+	return strings.TrimSuffix(textmetrics.NormalizeScript(text), ".")
 }
 
 // scored is an internal candidate with its utility components.
 type scored struct {
 	text string
-	h    float64 // goal-directed heuristic (scaled by HeuristicSkill)
-	r    float64 // retrieval relevance (already skill-scaled)
-	j    float64 // raw utility (noise candidates compete unscaled)
+	// id is the dedup id once text has been normalized to its key (0:
+	// not yet). slot marks a retrieval candidate whose text is already
+	// the key (0: none).
+	id, slot int32
+	h        float64 // goal-directed heuristic (scaled by HeuristicSkill)
+	r        float64 // retrieval relevance (already skill-scaled)
+	j        float64 // raw utility (noise candidates compete unscaled)
 }
 
 // Propose generates up to MaxOutputs tactic candidates for the focused goal
@@ -104,6 +118,8 @@ type scored struct {
 // The returned slice is part of the model's reused scratch: it is valid
 // only until the next Propose call on the same Model. Callers that retain
 // candidates (the search engine's expansions do) must copy them first.
+//
+//hot:root
 func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *NGram, rng *rand.Rand) []Candidate {
 	if st.Done() || len(st.Goals) == 0 {
 		return nil
@@ -113,53 +129,39 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	if len(path) > 0 {
 		prev = textmetrics.NormalizeScript(path[len(path)-1])
 	}
+	m.bind(p, ng)
+	for _, c := range m.uniq {
+		m.pos[c.id] = 0
+	}
 
 	// The deterministic slate (structural + retrieval, deduplicated) is a
 	// pure function of the goal for this Model's fixed prompt and n-gram;
 	// searches revisit the same focused goal across queries (repeat's
 	// progress loops, siblings sharing unfocused goals), and the memo keys
 	// on StrictKey because candidate texts mention concrete names.
-	if m.norm == nil {
-		m.norm = map[string]string{}
-		m.byText = map[string]int{}
-		m.overlay = map[string]int{}
-	}
-	if m.slate == nil {
-		m.slate = map[[2]uint64]*slateEntry{}
-	}
 	gk := goal.StrictKey()
 	ent, revisit := m.slate[gk]
 	var uniq []scored
-	var over map[string]int
-	var base map[string]int
 	if ent != nil {
-		clear(m.overlay)
-		over = m.overlay
 		uniq = append(m.uniq[:0], ent.uniq...)
-		base = ent.byText
+		for i, c := range uniq {
+			m.pos[c.id] = int32(i + 1)
+		}
 	} else {
-		clear(m.byText)
-		over = m.byText
 		pool := m.structural(m.pool[:0], goal)
-		pool = m.retrieval(pool, p, goal, ng)
+		pool = m.retrieval(pool, goal)
 		m.pool = pool
+		uniq = m.uniq[:0]
+		for _, c := range pool {
+			uniq = m.fold(uniq, c)
+		}
+		// Second sighting: this goal does recur, so the entry will pay for
+		// itself (first sightings — most goals in a search — stay in
+		// scratch and allocate nothing per query).
 		if revisit {
-			// Second sighting: this goal does recur, so the entry will pay
-			// for itself (first sightings — most goals in a search — stay
-			// in scratch and allocate nothing per query).
-			ent = &slateEntry{byText: make(map[string]int, len(pool))}
-			for _, c := range pool {
-				ent.uniq = m.fold(ent.uniq, ent.byText, nil, c)
-			}
-			m.slate[gk] = ent
-			uniq = append(m.uniq[:0], ent.uniq...)
-			base = ent.byText
+			m.slate[gk] = &slateEntry{uniq: slices.Clone(uniq)}
 		} else {
 			m.slate[gk] = nil
-			uniq = m.uniq[:0]
-			for _, c := range pool {
-				uniq = m.fold(uniq, over, nil, c)
-			}
 		}
 	}
 	// Fold the per-query candidates on top: the idiomatic continuations
@@ -168,16 +170,13 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	// competing with real candidates). Merge order matches a single deduped
 	// pool exactly, so slates are byte-identical to the memo-free path.
 	if ng != nil {
-		for _, cont := range ng.Continuations(prev, 3) {
-			uniq = m.fold(uniq, over, base, scored{text: cont, h: 0.9})
-		}
-		for _, pair := range ng.ContinuationPairs(prev, 3) {
-			uniq = m.fold(uniq, over, base, scored{text: pair.Text, h: 1.1 + 0.25*math.Log1p(pair.Count)})
+		for _, c := range m.continuations(ng, prev) {
+			uniq = m.fold(uniq, c)
 		}
 	}
-	m.jpool = m.junk(m.jpool[:0], goal, p, rng)
+	m.jpool = m.junk(m.jpool[:0], p, rng)
 	for _, c := range m.jpool {
-		uniq = m.fold(uniq, over, base, c)
+		uniq = m.fold(uniq, c)
 	}
 	m.uniq = uniq
 	if len(uniq) == 0 {
@@ -195,14 +194,6 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 	var biRow map[string]float64
 	scoreable := ng != nil && ng.total != 0
 	if scoreable {
-		if m.scoreNG != ng {
-			m.scoreNG = ng
-			if m.scoreParts == nil {
-				m.scoreParts = map[string]scorePart{}
-			} else {
-				clear(m.scoreParts)
-			}
-		}
 		biRow = ng.bi[prev]
 	}
 	for i, c := range uniq {
@@ -213,8 +204,8 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 		// terms are summed in Score's order so the result is bit-identical.
 		g := 0.0
 		if scoreable {
-			pt, ok := m.scoreParts[c.text]
-			if !ok {
+			pt := &m.parts[c.id]
+			if !pt.ok {
 				// Log1p(0) is exactly 0, so the zero-count fast paths are
 				// bit-identical; most candidates miss the n-gram tables.
 				if n := ng.uni[c.text]; n != 0 {
@@ -223,7 +214,7 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 				if n := ng.headUN[headOf(c.text)]; n != 0 {
 					pt.h05 = 0.05 * math.Log1p(n)
 				}
-				m.scoreParts[c.text] = pt
+				pt.ok = true
 			}
 			if biRow != nil {
 				if n := biRow[c.text]; n != 0 {
@@ -304,9 +295,90 @@ func (m *Model) Propose(p *prompt.Prompt, st *tactic.State, path []string, ng *N
 		}
 		out = append(out, Candidate{Tactic: uniq[idx].text, LogProb: math.Log(probs[idx])})
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].LogProb > out[b].LogProb })
+	slices.SortStableFunc(out, byLogProbDesc)
 	m.out = out
 	return out
+}
+
+// byLogProbDesc orders candidates by descending log-probability.
+func byLogProbDesc(a, b Candidate) int { return cmp.Compare(b.LogProb, a.LogProb) }
+
+// bind points the model at the retrieval index of (p, ng). Dedup ids, the
+// slate memo, and the n-gram memos all depend on the pair, so a new pair
+// starts them afresh.
+func (m *Model) bind(p *prompt.Prompt, ng *NGram) {
+	if m.retr != nil && m.retr.prompt == p && m.retr.ng == ng {
+		return
+	}
+	m.retr = buildRetrIndex(p, ng, m.Profile, m.Env, m.Retr)
+	m.norm = map[string]normed{}
+	m.ids = map[string]int32{}
+	m.slotID = make([]int32, slot(len(m.retr.lems), 0))
+	m.pos = append(m.pos[:0], 0)
+	m.parts = append(m.parts[:0], scorePart{})
+	m.conts = map[string][]scored{}
+	m.slate = map[[2]uint64]*slateEntry{}
+	m.uniq = m.uniq[:0]
+	if n := m.retr.symbols(); cap(m.occ) < n {
+		m.occ = make([]symOcc, n)
+	}
+}
+
+// keyID returns the dedup id of a (non-empty) key, assigning the next one
+// on first sight.
+func (m *Model) keyID(key string) int32 {
+	id, ok := m.ids[key]
+	if !ok {
+		id = int32(len(m.pos))
+		m.ids[key] = id
+		m.pos = append(m.pos, 0)
+		m.parts = append(m.parts, scorePart{})
+	}
+	return id
+}
+
+// normalize returns a candidate text's dedup key and id. Normalization is
+// memoized per text: it is a pure string function and candidate texts
+// repeat heavily across the queries of a search.
+func (m *Model) normalize(text string) normed {
+	n, ok := m.norm[text]
+	if !ok {
+		n.key = dedupKey(text)
+		if n.key != "" {
+			n.id = m.keyID(n.key)
+		}
+		m.norm[text] = n
+	}
+	return n
+}
+
+// continuations returns the n-gram's idiomatic follow-ups of prev as keyed
+// candidates: the frequent successors, then the two-step "a; b" compounds.
+// They depend on prev alone for the bound n-gram, so each prev is mined
+// once per search.
+func (m *Model) continuations(ng *NGram, prev string) []scored {
+	if cs, ok := m.conts[prev]; ok {
+		return cs
+	}
+	conts, pairs := ng.Continuations(prev, 3), ng.ContinuationPairs(prev, 3)
+	cs := make([]scored, 0, len(conts)+len(pairs))
+	for _, cont := range conts {
+		cs = m.appendKeyed(cs, cont, 0.9)
+	}
+	for _, pair := range pairs {
+		cs = m.appendKeyed(cs, pair.Text, 1.1+0.25*math.Log1p(pair.Count))
+	}
+	m.conts[prev] = cs
+	return cs
+}
+
+// appendKeyed appends text as a keyed candidate with heuristic score h;
+// texts that normalize to nothing never reach the slate and are dropped.
+func (m *Model) appendKeyed(cs []scored, text string, h float64) []scored {
+	if n := m.normalize(text); n.id != 0 {
+		cs = append(cs, scored{text: n.key, id: n.id, h: h})
+	}
+	return cs
 }
 
 // resize returns *buf with length n, growing the backing array only when
@@ -338,93 +410,6 @@ func gumbel(rng *rand.Rand) float64 {
 
 // ---------------------------------------------------------------------------
 // Goal-directed enumeration
-
-// symbolsOf collects function, predicate, and constructor names in a form.
-func symbolsOf(f *kernel.Form, out map[string]bool) {
-	if f == nil {
-		return
-	}
-	var term func(t *kernel.Term)
-	term = func(t *kernel.Term) {
-		if t == nil {
-			return
-		}
-		t.Subterms(func(u *kernel.Term) bool {
-			if u.IsApp() && u.Fun != "" {
-				out[u.Fun] = true
-			}
-			return true
-		})
-	}
-	switch f.Kind {
-	case kernel.FEq:
-		term(f.T1)
-		term(f.T2)
-	case kernel.FPred:
-		out[f.Pred] = true
-		for _, a := range f.Args {
-			term(a)
-		}
-	case kernel.FNot:
-		symbolsOf(f.L, out)
-	case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-		symbolsOf(f.L, out)
-		symbolsOf(f.R, out)
-	case kernel.FForall, kernel.FExists:
-		symbolsOf(f.Body, out)
-	}
-}
-
-// orderedSymbols returns the unique applied symbols of f in deterministic
-// first-encounter order. The retrieval index stores symbol lists (a map
-// range would sum the overlap score in randomized order), so the walk
-// order here is the iteration order of the cached scoring loop.
-func orderedSymbols(f *kernel.Form) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	var walk func(f *kernel.Form)
-	walk = func(f *kernel.Form) {
-		if f == nil {
-			return
-		}
-		term := func(t *kernel.Term) {
-			if t == nil {
-				return
-			}
-			t.Subterms(func(u *kernel.Term) bool {
-				if u.IsApp() && u.Fun != "" {
-					add(u.Fun)
-				}
-				return true
-			})
-		}
-		switch f.Kind {
-		case kernel.FEq:
-			term(f.T1)
-			term(f.T2)
-		case kernel.FPred:
-			add(f.Pred)
-			for _, a := range f.Args {
-				term(a)
-			}
-		case kernel.FNot:
-			walk(f.L)
-		case kernel.FAnd, kernel.FOr, kernel.FImpl, kernel.FIff:
-			walk(f.L)
-			walk(f.R)
-		case kernel.FForall, kernel.FExists:
-			walk(f.Body)
-		}
-	}
-	walk(f)
-	return out
-}
 
 func conclHead(f *kernel.Form) string {
 	for f != nil {
@@ -516,39 +501,40 @@ func looksArith(f *kernel.Form) bool {
 }
 
 // fold merges one candidate into the deduplicated slate, keeping the best
-// score per component for repeated keys. over is the per-query overlay
-// index; base, when non-nil, is a memoized slateEntry's read-only index
-// (its entries address the copied prefix of uniq, so merging through it is
-// safe — only uniq is mutated). Normalization is memoized per text: it is
-// a pure string function and candidate texts repeat heavily across the
-// queries of a search.
-func (m *Model) fold(uniq []scored, over map[string]int, base map[string]int, c scored) []scored {
-	key, ok := m.norm[c.text]
-	if !ok {
-		key = strings.TrimSuffix(textmetrics.NormalizeScript(c.text), ".")
-		m.norm[c.text] = key
+// score per component for repeated keys. Candidates not yet keyed are
+// normalized first; retrieval candidates carry their key already and
+// resolve their slot to an id once per search.
+func (m *Model) fold(uniq []scored, c scored) []scored {
+	switch {
+	case c.id != 0:
+	case c.slot != 0:
+		c.id = m.slotID[c.slot]
+		if c.id == 0 {
+			c.id = m.keyID(c.text)
+			m.slotID[c.slot] = c.id
+		}
+	default:
+		n := m.normalize(c.text)
+		if n.id == 0 {
+			return uniq
+		}
+		c.text, c.id = n.key, n.id
 	}
-	if key == "" {
+	if p := m.pos[c.id]; p != 0 {
+		u := &uniq[p-1]
+		if c.h > u.h {
+			u.h = c.h
+		}
+		if c.r > u.r {
+			u.r = c.r
+		}
+		if c.j > u.j {
+			u.j = c.j
+		}
 		return uniq
 	}
-	idx, ok := over[key]
-	if !ok && base != nil {
-		idx, ok = base[key]
-	}
-	if ok {
-		if c.h > uniq[idx].h {
-			uniq[idx].h = c.h
-		}
-		if c.r > uniq[idx].r {
-			uniq[idx].r = c.r
-		}
-		if c.j > uniq[idx].j {
-			uniq[idx].j = c.j
-		}
-		return uniq
-	}
-	over[key] = len(uniq)
-	return append(uniq, scored{text: key, h: c.h, r: c.r, j: c.j})
+	m.pos[c.id] = int32(len(uniq) + 1)
+	return append(uniq, c)
 }
 
 // structural appends the goal-shape candidate pool: a pure function of
@@ -620,6 +606,7 @@ func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
 	// Hypothesis-directed moves.
 	substUseful := false
 	gh := goalHead(c)
+	ck := c.FingerprintKey()
 	for _, h := range g.Hyps {
 		switch h.Form.Kind {
 		case kernel.FFalse:
@@ -682,7 +669,7 @@ func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
 				add("apply "+h.Name+".", 2.0)
 			}
 		}
-		if h.Form.FingerprintKey() == c.FingerprintKey() {
+		if h.Form.FingerprintKey() == ck {
 			add("assumption.", 3.2)
 		}
 	}
@@ -731,9 +718,8 @@ func (m *Model) structural(out []scored, g *tactic.Goal) []scored {
 	}
 
 	// simpl when computation is visible.
-	syms := map[string]bool{}
-	symbolsOf(c, syms)
-	for s := range syms {
+	m.symBuf = appendSymbols(m.symBuf[:0], c)
+	for _, s := range m.symBuf {
 		if _, isFun := m.Env.Funs[s]; isFun {
 			add("simpl.", 1.3)
 			break
@@ -904,197 +890,6 @@ func (m *Model) recursiveArgVars(f *kernel.Form) map[string]bool {
 }
 
 // ---------------------------------------------------------------------------
-// Retrieval from the visible prompt
-
-// lemRecord is the goal-independent analysis of one lemma visible in a
-// prompt: statement symbols, position decay, hint-proof usage, conclusion
-// shape, and the pre-rendered candidate texts. A search queries the model
-// up to fuel times against the same prompt, so this is computed once per
-// (prompt, n-gram) pair instead of per query.
-type lemRecord struct {
-	name                               string
-	syms                               []string // unique statement symbols, deterministic walk order
-	sqrtN                              float64  // sqrt(len(syms)), the overlap normalizer
-	quality                            float64  // RetrievalSkill * position decay
-	usage                              float64  // log1p(hint-proof usage count)
-	isEq                               bool
-	lhsHead                            string // head symbol of the equation LHS ("" if none)
-	concl                              string // goal head of the conclusion
-	premHead                           string // goal head of the first premise ("" if no premises)
-	hasPrems                           bool
-	rewrite, rewriteRev, apply, eapply string
-}
-
-type retrIndex struct {
-	prompt *prompt.Prompt
-	ng     *NGram
-	lems   []lemRecord
-}
-
-// RetrCache shares immutable retrieval indexes across searches. Entries are
-// read-only after construction and the build is deterministic, so a racing
-// duplicate build stores an identical index; results cannot depend on which
-// one wins.
-type RetrCache struct{ m sync.Map } // retrCacheKey -> []lemRecord
-
-// NewRetrCache builds an empty shared retrieval-index cache.
-func NewRetrCache() *RetrCache { return &RetrCache{} }
-
-// retrCacheKey keys a shared index. The profile name stands in for the
-// profile's retrieval parameters (skill, distraction half-life), which are
-// fixed per named profile.
-type retrCacheKey struct {
-	prompt  *prompt.Prompt
-	ng      *NGram
-	profile string
-}
-
-// retrIndexFor returns the per-prompt retrieval index, rebuilding it only
-// when the (prompt, n-gram) pair changes.
-func (m *Model) retrIndexFor(p *prompt.Prompt, ng *NGram) []lemRecord {
-	if m.retr != nil && m.retr.prompt == p && m.retr.ng == ng {
-		return m.retr.lems
-	}
-	var ck retrCacheKey
-	if m.Retr != nil {
-		ck = retrCacheKey{prompt: p, ng: ng, profile: m.Profile.Name}
-		if v, ok := m.Retr.m.Load(ck); ok {
-			lems := v.([]lemRecord)
-			m.retr = &retrIndex{prompt: p, ng: ng, lems: lems}
-			return lems
-		}
-	}
-	prof := m.Profile
-	n := len(p.Items)
-	var lems []lemRecord
-	for i, it := range p.Items {
-		if it.Kind != corpus.ItemLemma {
-			continue
-		}
-		lem, ok := m.Env.Lemmas[it.Name]
-		if !ok {
-			continue
-		}
-		dist := float64(n - 1 - i)
-		decay := math.Exp2(-dist / prof.DistractionHalfLife)
-		rec := lemRecord{
-			name:       it.Name,
-			quality:    prof.RetrievalSkill * decay,
-			rewrite:    "rewrite " + it.Name + ".",
-			rewriteRev: "rewrite <- " + it.Name + ".",
-			apply:      "apply " + it.Name + ".",
-			eapply:     "eapply " + it.Name + ".",
-		}
-		// Usage statistics from hint proofs: lemmas the humans applied
-		// often are much easier for the model to surface.
-		if ng != nil {
-			rec.usage = math.Log1p(ng.NameUsage(it.Name))
-		}
-		_, matrix := lem.Stmt.StripForalls()
-		prems, concl := matrix.StripImpls()
-		rec.syms = orderedSymbols(lem.Stmt)
-		rec.sqrtN = math.Sqrt(float64(len(rec.syms)))
-		rec.isEq = concl.Kind == kernel.FEq
-		if rec.isEq && concl.T1.IsApp() {
-			rec.lhsHead = concl.T1.Fun
-		}
-		rec.concl = goalHead(concl)
-		rec.hasPrems = len(prems) > 0
-		if rec.hasPrems {
-			rec.premHead = goalHead(stripQuant(prems[0]))
-		}
-		lems = append(lems, rec)
-	}
-	if m.Retr != nil {
-		if v, loaded := m.Retr.m.LoadOrStore(ck, lems); loaded {
-			lems = v.([]lemRecord)
-		}
-	}
-	m.retr = &retrIndex{prompt: p, ng: ng, lems: lems}
-	return lems
-}
-
-func (m *Model) retrieval(out []scored, p *prompt.Prompt, g *tactic.Goal, ng *NGram) []scored {
-	if m.goalSyms == nil {
-		m.goalSyms, m.hypSyms = map[string]bool{}, map[string]bool{}
-	} else {
-		clear(m.goalSyms)
-		clear(m.hypSyms)
-	}
-	goalSyms, hypSyms := m.goalSyms, m.hypSyms
-	symbolsOf(g.Concl, goalSyms)
-	for _, h := range g.Hyps {
-		symbolsOf(h.Form, hypSyms)
-	}
-	gh := goalHead(g.Concl)
-
-	for i := range m.retrIndexFor(p, ng) {
-		rec := &m.retr.lems[i]
-		overlap := 0.0
-		for _, s := range rec.syms {
-			if goalSyms[s] {
-				overlap += 1.0
-			} else if hypSyms[s] {
-				overlap += 0.4
-			}
-		}
-		if len(rec.syms) > 0 {
-			overlap /= rec.sqrtN
-		}
-
-		rel := (overlap + 1.6*rec.usage) * rec.quality
-		if rec.isEq {
-			// Equation: rewriting material.
-			w := rel
-			if rec.lhsHead != "" && goalSyms[rec.lhsHead] {
-				w += 1.3 * rec.quality
-			}
-			out = append(out, scored{text: rec.rewrite, r: w})
-			out = append(out, scored{text: rec.rewriteRev, r: 0.4 * w})
-			if rec.lhsHead != "" && hypSyms[rec.lhsHead] {
-				if m.hypSymScratch == nil {
-					m.hypSymScratch = map[string]bool{}
-				}
-				for _, h := range g.Hyps {
-					clear(m.hypSymScratch)
-					symbolsOf(h.Form, m.hypSymScratch)
-					if m.hypSymScratch[rec.lhsHead] {
-						out = append(out, scored{text: "rewrite " + rec.name + " in " + h.Name + ".", r: 0.8 * w})
-						break
-					}
-				}
-			}
-		}
-		if rec.concl == gh {
-			w := rel + 1.1*rec.quality
-			out = append(out, scored{text: rec.apply, r: w})
-			if rec.hasPrems {
-				out = append(out, scored{text: rec.eapply, r: 0.7 * w})
-			}
-		} else if overlap > 0.5 {
-			out = append(out, scored{text: rec.apply, r: 0.3 * rel})
-		}
-		// Forward chaining into a matching hypothesis.
-		if rec.hasPrems && rec.premHead != "?" {
-			for _, h := range g.Hyps {
-				if goalHead(h.Form) == rec.premHead {
-					out = append(out, scored{text: "apply " + rec.name + " in " + h.Name + ".", r: 0.5 * rel})
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-func stripQuant(f *kernel.Form) *kernel.Form {
-	for f != nil && f.Kind == kernel.FForall {
-		f = f.Body
-	}
-	return f
-}
-
-// ---------------------------------------------------------------------------
 // Noise
 
 var junkTactics = []string{
@@ -1111,7 +906,7 @@ var junkHypApply = func() [9]string {
 	return t
 }()
 
-func (m *Model) junk(out []scored, g *tactic.Goal, p *prompt.Prompt, rng *rand.Rand) []scored {
+func (m *Model) junk(out []scored, p *prompt.Prompt, rng *rand.Rand) []scored {
 	prof := m.Profile
 	nJunk := int(math.Round(prof.NoiseRate * 10))
 	level := 3.4 * prof.NoiseRate
@@ -1122,13 +917,9 @@ func (m *Model) junk(out []scored, g *tactic.Goal, p *prompt.Prompt, rng *rand.R
 			out = append(out, scored{text: junkTactics[rng.Intn(len(junkTactics))], j: u})
 		case 1:
 			// Apply a random visible lemma regardless of relevance.
-			if name := randomLemma(p, rng); name != "" {
-				out = append(out, scored{text: "apply " + name + ".", j: u})
-			}
+			out = m.junkLemma(out, p, rng, verbApply, u)
 		case 2:
-			if name := randomLemma(p, rng); name != "" {
-				out = append(out, scored{text: "rewrite " + name + ".", j: u})
-			}
+			out = m.junkLemma(out, p, rng, verbRewrite, u)
 		default:
 			// Reference a plausible but possibly absent hypothesis.
 			out = append(out, scored{text: junkHypApply[rng.Intn(9)], j: u})
@@ -1137,10 +928,20 @@ func (m *Model) junk(out []scored, g *tactic.Goal, p *prompt.Prompt, rng *rand.R
 	return out
 }
 
-func randomLemma(p *prompt.Prompt, rng *rand.Rand) string {
-	names := p.LemmaNames()
-	if len(names) == 0 {
-		return ""
+// junkLemma appends "apply L." or "rewrite L." for a random visible lemma
+// L, keyed through the lemma's retrieval record when it has one.
+func (m *Model) junkLemma(out []scored, p *prompt.Prompt, rng *rand.Rand, verb int, u float64) []scored {
+	recs := m.retr.lemmaRec
+	if len(recs) == 0 {
+		return out
 	}
-	return names[rng.Intn(len(names))]
+	i := rng.Intn(len(recs))
+	if r := recs[i]; r >= 0 {
+		return append(out, scored{text: m.retr.lems[r].st.keys[verb], slot: slot(int(r), verb), j: u})
+	}
+	head := "apply "
+	if verb == verbRewrite {
+		head = "rewrite "
+	}
+	return append(out, scored{text: head + p.LemmaNames()[i] + ".", j: u})
 }

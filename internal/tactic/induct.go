@@ -3,6 +3,7 @@ package tactic
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 
 	"llmfscq/internal/kernel"
@@ -41,8 +42,8 @@ func varBase(ty *kernel.Type) string {
 // caseNames resolves names for one constructor's argument variables; free
 // is a name the split consumes (Coq reuses it: `induction l` names the
 // tail l).
-func caseNames(g *Goal, argTypes []*kernel.Type, alt []*IntroPattern, free string) ([]string, error) {
-	used := g.usedNames()
+// used is a private copy of g.usedNames(), consumed by the call.
+func caseNames(used map[string]bool, argTypes []*kernel.Type, alt []*IntroPattern, free string) ([]string, error) {
 	if free != "" {
 		delete(used, free)
 	}
@@ -82,6 +83,7 @@ func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPa
 			}
 		}
 	}
+	used := g.usedNames()
 	var out []*Goal
 	for ci, c := range dt.Constructors {
 		argTypes := kernel.InstantiateConstructorTypes(dt, c, ty)
@@ -89,7 +91,7 @@ func dataCaseSplit(env *kernel.Env, g *Goal, x string, withIH bool, pat *IntroPa
 		if pat != nil && len(pat.Alts) == len(dt.Constructors) {
 			alt = pat.Alts[ci]
 		}
-		names, err := caseNames(g, argTypes, alt, x)
+		names, err := caseNames(maps.Clone(used), argTypes, alt, x)
 		if err != nil {
 			return nil, err
 		}
@@ -212,6 +214,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 	base := g.RemoveHyp(h.Name)
 	C := base.Concl
 
+	baseUsed := base.usedNames()
 	var out []*Goal
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
@@ -219,7 +222,7 @@ func ruleInduction(env *kernel.Env, g *Goal, h Hyp) ([]*Goal, error) {
 			return nil, fmt.Errorf("tactic: arity mismatch in rule %s", r.Name)
 		}
 		// Freshen rule variables.
-		used := base.usedNames()
+		used := maps.Clone(baseUsed)
 		ren := make(kernel.Subst, len(r.Vars))
 		var freshVars []kernel.TypedVar
 		for _, v := range r.Vars {
@@ -386,6 +389,7 @@ func destructTerm(env *kernel.Env, g *Goal, t *kernel.Term, eqn string, pat *Int
 	if !ok {
 		return nil, fmt.Errorf("tactic: type %s is not an inductive datatype", ty)
 	}
+	used := g.usedNames()
 	var out []*Goal
 	for ci, c := range dt.Constructors {
 		argTypes := kernel.InstantiateConstructorTypes(dt, c, ty)
@@ -393,7 +397,7 @@ func destructTerm(env *kernel.Env, g *Goal, t *kernel.Term, eqn string, pat *Int
 		if pat != nil && len(pat.Alts) == len(dt.Constructors) {
 			alt = pat.Alts[ci]
 		}
-		names, err := caseNames(g, argTypes, alt, "")
+		names, err := caseNames(maps.Clone(used), argTypes, alt, "")
 		if err != nil {
 			return nil, err
 		}
@@ -414,8 +418,7 @@ func destructTerm(env *kernel.Env, g *Goal, t *kernel.Term, eqn string, pat *Int
 		}
 		ng.Concl = newConcl
 		if eqn != "" {
-			used := ng.usedNames()
-			if used[eqn] {
+			if ng.usedNames()[eqn] {
 				return nil, fmt.Errorf("tactic: name %q already used", eqn)
 			}
 			ng.Hyps = append(ng.Hyps, Hyp{Name: eqn, Form: kernel.Eq(t, pattern)})

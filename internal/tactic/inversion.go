@@ -39,9 +39,12 @@ func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, 
 			}
 			args[i] = na
 		}
+		// Every rule freshens against the same goal, so its names are
+		// collected once and lent to each rule in turn.
+		used := base.usedNames()
 		var out []*Goal
 		for i := range p.Rules {
-			sub, err := invertRule(env, base, &p.Rules[i], args)
+			sub, err := invertRule(env, base, &p.Rules[i], args, used)
 			if err != nil {
 				return nil, err
 			}
@@ -66,27 +69,23 @@ func tacInversion(env *kernel.Env, g *Goal, hname string, clear bool) ([]*Goal, 
 type invEq struct{ lhs, rhs *kernel.Term }
 
 // invertRule matches one rule's conclusion against the hypothesis arguments.
-// Returns (nil, nil) when the rule is impossible (constructor clash).
-func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term) (*Goal, error) {
+// Returns (nil, nil) when the rule is impossible (constructor clash). used
+// is g.usedNames(): invertRule marks the names it invents in it while it
+// works and removes them again before returning, so one set serves every
+// rule of a predicate.
+func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term, used map[string]bool) (*Goal, error) {
 	if len(r.ConclArgs) != len(hypArgs) {
 		return nil, fmt.Errorf("tactic: arity mismatch inverting rule %s", r.Name)
 	}
 	// Freshen rule variables against goal names.
-	used := g.usedNames()
-	ren := map[string]string{}
-	var freshVars []kernel.TypedVar
-	for _, v := range r.Vars {
+	freshVars := make([]kernel.TypedVar, len(r.Vars))
+	flex := make(map[string]bool, len(r.Vars))
+	renSub := make(kernel.Subst, len(r.Vars))
+	for i, v := range r.Vars {
 		f := kernel.FreshName(v.Name, used)
-		ren[v.Name] = f
-		freshVars = append(freshVars, kernel.TypedVar{Name: f, Type: v.Type})
-	}
-	flex := map[string]bool{}
-	for _, v := range freshVars {
-		flex[v.Name] = true
-	}
-	renSub := make(kernel.Subst, len(ren))
-	for k, v := range ren {
-		renSub[k] = kernel.V(v)
+		freshVars[i] = kernel.TypedVar{Name: f, Type: v.Type}
+		flex[f] = true
+		renSub[v.Name] = kernel.V(f)
 	}
 
 	sub := kernel.Subst{}
@@ -124,21 +123,26 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 	for i := range hypArgs {
 		decompose(r.ConclArgs[i].ApplySubst(renSub), hypArgs[i])
 		if impossible {
+			forgetVars(used, freshVars)
 			return nil, nil
 		}
 	}
 
 	ng := g.Clone()
-	// Add the rule variables that remained unbound.
+	// Add the rule variables that remained unbound. ng differs from g only
+	// in those variables, so ng.usedNames() is g's names plus the unbound
+	// fresh ones: used minus the bound fresh ones (fresh names never
+	// collide with g's).
 	for _, v := range freshVars {
 		if _, bound := sub[v.Name]; !bound {
 			ng.Vars = append(ng.Vars, v)
+		} else {
+			delete(used, v.Name)
 		}
 	}
-	usedH := ng.usedNames()
 	for _, prem := range r.Prems {
 		f := kernel.FullResolveForm(prem.SubstTerm(renSub), sub)
-		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(usedH), Form: f})
+		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(used), Form: f})
 	}
 	for _, eq := range leftovers {
 		l := kernel.FullResolve(eq.lhs, sub)
@@ -146,9 +150,21 @@ func invertRule(env *kernel.Env, g *Goal, r *kernel.Rule, hypArgs []*kernel.Term
 		if l.Equal(rr) {
 			continue
 		}
-		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(usedH), Form: kernel.Eq(l, rr)})
+		ng.Hyps = append(ng.Hyps, Hyp{Name: ng.FreshHypName(used), Form: kernel.Eq(l, rr)})
 	}
+	// Hand used back as it came: without this rule's invented names.
+	for _, h := range ng.Hyps[len(g.Hyps):] {
+		delete(used, h.Name)
+	}
+	forgetVars(used, freshVars)
 	return ng, nil
+}
+
+// forgetVars removes the names of vars from used.
+func forgetVars(used map[string]bool, vars []kernel.TypedVar) {
+	for _, v := range vars {
+		delete(used, v.Name)
+	}
 }
 
 // invertEquality performs injection/discrimination on an equality

@@ -165,13 +165,9 @@ func (g *Goal) usedNames() map[string]bool {
 	}
 	// Free variables of the conclusion matter too (e.g. uninstantiated
 	// binder names).
-	for v := range g.Concl.FreeVars() {
-		used[v] = true
-	}
+	g.Concl.AddFreeVars(used)
 	for _, h := range g.Hyps {
-		for v := range h.Form.FreeVars() {
-			used[v] = true
-		}
+		h.Form.AddFreeVars(used)
 	}
 	return used
 }

@@ -12,6 +12,13 @@ import (
 // the corpus loader, kept local to avoid an import cycle).
 func buildEnv(t testing.TB) *kernel.Env {
 	t.Helper()
+	return buildEnvWith(t, "")
+}
+
+// buildEnvWith is buildEnv with extra declarations appended to the base
+// development.
+func buildEnvWith(t testing.TB, extra string) *kernel.Env {
+	t.Helper()
 	src := `
 Inductive bool : Type := | true : bool | false : bool.
 Inductive nat : Type := | O : nat | S : nat -> nat.
@@ -30,7 +37,7 @@ Inductive In (A : Type) : A -> list A -> Prop :=
 Definition lt (n m : nat) : Prop := le (S n) m.
 Hint Constructors le.
 Hint Constructors In.
-`
+` + extra
 	env := kernel.NewEnv()
 	vp, err := syntax.NewVernParser(src)
 	if err != nil {

@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-3x}"
-PATTERN='BenchmarkPromptBuild$|BenchmarkRestrictEnv$|BenchmarkFingerprint$|BenchmarkFigure1a$|BenchmarkTable2$|BenchmarkBestFirstExpand$|BenchmarkTryCache$|BenchmarkWarmSweep$|BenchmarkRemoteExpand$|BenchmarkInternTerm$|BenchmarkFingerprintKey$|BenchmarkSubstFastPath$|BenchmarkTypedLoad$|BenchmarkDistributedSweep$'
+PATTERN='BenchmarkPromptBuild$|BenchmarkRestrictEnv$|BenchmarkFingerprint$|BenchmarkFigure1a$|BenchmarkTable2$|BenchmarkBestFirstExpand$|BenchmarkTryCache$|BenchmarkWarmSweep$|BenchmarkRemoteExpand$|BenchmarkInternTerm$|BenchmarkFingerprintKey$|BenchmarkSubstFastPath$|BenchmarkTypedLoad$|BenchmarkDistributedSweep$|BenchmarkModelPropose$|BenchmarkInversion$'
 OUT=BENCH_sweep.json
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT

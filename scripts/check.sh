@@ -59,13 +59,22 @@ go run ./cmd/lint -family typed -baseline lint_baseline.json ./...
 # The allocs/op ratchet: the frozen hot-path-allocation debt may only
 # shrink. 301 was the count when the persistent proof cache landed (the
 # mirror cross-check runs on the hot path, allocation-free); a PR that
-# pushes it back up must instead fix the allocation it introduced.
-hotdebt=$(grep -c '"analyzer": "hotpathalloc"' lint_baseline.json || true)
+# pushes it back up must instead fix the allocation it introduced. The
+# simulated model (internal/model, a hot root since Model.Propose became
+# //hot:root) is counted under its own ceiling, 111 when it became visible;
+# both counts may only fall.
+hotall=$(grep -c '"analyzer": "hotpathalloc"' lint_baseline.json || true)
+hotmodel=$(grep -A2 '"analyzer": "hotpathalloc"' lint_baseline.json | grep -c '"file": "internal/model/' || true)
+hotdebt=$((hotall - hotmodel))
 [ "$hotdebt" -le 301 ] || {
-	echo "check: FAIL: hotpathalloc baseline grew to $hotdebt entries (ratchet: <= 301)" >&2
+	echo "check: FAIL: hotpathalloc baseline grew to $hotdebt entries outside internal/model (ratchet: <= 301)" >&2
 	exit 1
 }
-echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 301)"
+[ "$hotmodel" -le 111 ] || {
+	echo "check: FAIL: hotpathalloc baseline grew to $hotmodel internal/model entries (ratchet: <= 111)" >&2
+	exit 1
+}
+echo "check: hotpathalloc baseline at $hotdebt entries (ratchet: <= 301) + $hotmodel internal/model entries (ratchet: <= 111)"
 
 # Backend equivalence at full scale: the complete experiment sweep must
 # print byte-identical tables through the in-process backend, the remote
