@@ -691,6 +691,10 @@ func BenchmarkDistributedSweep(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(co.Stats.Steals.Load()), "steals")
+		b.ReportMetric(float64(co.Stats.Remote.Load())/float64(b.N), "remote-units/op")
+		if err := co.Err(); err != nil {
+			b.Fatal(err)
+		}
 		for _, w := range workers {
 			if w.Backend.(*remote.Backend).Stats.Mismatches.Load() != 0 {
 				b.Fatalf("worker %d disagreed with the in-process checker", w.ID)

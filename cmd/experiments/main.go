@@ -65,15 +65,15 @@ func main() {
 		faults      = flag.String("faults", "", "fault-injection schedule for -backend=remote, e.g. \"drop-conn=0.05,stall=0.02\" (sites: "+faultSites()+")")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote (the paper's per-tactic budget); injected stalls block for twice this")
-		wireBatch   = flag.Bool("wire-batch", true, "cross-check remote expansions with batched ExecBatch round trips instead of lockstep Exec (-backend=remote)")
+		wireBatch   = flag.Bool("wire-batch", true, "cross-check remote expansions with batched ExecBatch round trips instead of lockstep Exec (-backend=remote; a fleet ships whole units instead)")
 
 		workers     = flag.Int("workers", 0, "distributed sweep: spawn this many in-process checkerd workers and shard the grid across them (0 = off; tables are byte-identical at every fleet size)")
 		workerAddrs = flag.String("worker-addrs", "", "distributed sweep: comma-separated checkerd addresses to shard the grid across (overrides -workers)")
 		straggler   = flag.Duration("straggler", sweep.DefaultStragglerAfter, "distributed sweep: duplicate a unit still in flight after this long on an idle worker (negative: never)")
 	)
 	flag.Parse()
-	mirrorSet := false
-	flag.Visit(func(f *flag.Flag) { mirrorSet = mirrorSet || f.Name == "proof-cache-mirror" })
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := validateFlags(options{
 		backend:          *backend,
 		faults:           *faults,
@@ -83,7 +83,8 @@ func main() {
 		proofCache:       *proofCache,
 		proofCacheRO:     *proofCacheRO,
 		proofCacheMirror: *proofCacheMirror,
-		mirrorSet:        mirrorSet,
+		mirrorSet:        set["proof-cache-mirror"],
+		wireBatchSet:     set["wire-batch"],
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -160,7 +161,7 @@ func main() {
 	runGrid := r.RunGrid
 	var finishBackend func()
 	if *workers > 0 || *workerAddrs != "" {
-		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout, *wireBatch)
+		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout)
 	} else {
 		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout, *wireBatch)
 	}
@@ -253,6 +254,7 @@ type options struct {
 	proofCacheRO            bool
 	proofCacheMirror        int
 	mirrorSet               bool // -proof-cache-mirror given on the command line
+	wireBatchSet            bool // -wire-batch given on the command line
 }
 
 // validateFlags rejects flag combinations that cannot work or that would
@@ -269,6 +271,9 @@ func validateFlags(o options) error {
 	}
 	if fleet && o.backend == "remote" {
 		return errors.New("-workers/-worker-addrs and -backend=remote are mutually exclusive (a fleet IS remote backends)")
+	}
+	if fleet && o.wireBatchSet {
+		return errors.New("-wire-batch has no effect with -workers/-worker-addrs (the fleet ships whole units, not per-tactic wire documents)")
 	}
 	if o.faults != "" {
 		if o.backend != "remote" && !fleet {
@@ -358,9 +363,10 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 // setupDistributed builds the worker fleet — spawned in-process on loopback
 // ports, or dialed from -worker-addrs — and returns the coordinator's
 // RunGrid plus the drain hook: close the workers, report routing stats and
-// per-worker health, and abort on any semantic wire/mirror mismatch, same
-// contract as the single-backend path.
-func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter time.Duration, faultSpec string, faultSeed int64, wireTimeout time.Duration, wireBatch bool) (func([]eval.GridJob) [][]eval.Outcome, func()) {
+// per-worker health. The grid aborts the run right after it merges if any
+// worker record failed certification (kernel replay or the sampled
+// recompute) or a worker refused a unit for a configuration mismatch.
+func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter time.Duration, faultSpec string, faultSeed int64, wireTimeout time.Duration) (func([]eval.GridJob) [][]eval.Outcome, func()) {
 	plan, err := faultpoint.ParsePlan(faultSeed, faultSpec)
 	if err != nil {
 		log.Fatalf("-faults: %v", err)
@@ -402,7 +408,7 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 		Plan:     plan,
 		Seed:     faultSeed,
 		StallFor: 2 * pol.RequestTimeout,
-		Batch:    wireBatch,
+		Batch:    true,
 		Slots:    slots,
 	}
 	var ws []*sweep.Worker
@@ -432,17 +438,16 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 			}
 			fmt.Fprintf(os.Stderr, "distributed: fault hits %s\n", strings.Join(hits, " "))
 		}
-		var mismatches int64
-		for _, w := range ws {
-			if be, ok := w.Backend.(*remote.Backend); ok {
-				mismatches += be.Stats.Mismatches.Load()
-			}
-		}
-		if mismatches > 0 {
-			log.Fatalf("distributed: %d semantic wire/mirror mismatches — a worker disagrees with the in-process checker", mismatches)
-		}
 	}
-	return co.RunGrid, finish
+	runGrid := func(jobs []eval.GridJob) [][]eval.Outcome {
+		out := co.RunGrid(jobs)
+		if err := co.Err(); err != nil {
+			finish()
+			log.Fatalf("distributed: %v", err)
+		}
+		return out
+	}
+	return runGrid, finish
 }
 
 // runProbe reproduces §4.3: take short theorems (human proof < 16 tokens)

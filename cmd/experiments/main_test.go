@@ -22,6 +22,9 @@ func TestValidateFlags(t *testing.T) {
 		{"fleet and remote", func(o *options) { o.backend, o.workers = "remote", 2 }, "mutually exclusive"},
 		{"worker addrs and remote", func(o *options) { o.backend, o.workerAddrs = "remote", "127.0.0.1:1" }, "mutually exclusive"},
 		{"negative workers", func(o *options) { o.workers = -1 }, "-workers"},
+		{"wire batch with fleet", func(o *options) { o.workers, o.wireBatchSet = 2, true }, "-wire-batch has no effect"},
+		{"wire batch with worker addrs", func(o *options) { o.workerAddrs, o.wireBatchSet = "127.0.0.1:1", true }, "-wire-batch has no effect"},
+		{"wire batch with remote", func(o *options) { o.backend, o.wireBatchSet = "remote", true }, ""},
 		{"proof cache", func(o *options) { o.proofCache = "/tmp/pc" }, ""},
 		{"proof cache read-only", func(o *options) { o.proofCache, o.proofCacheRO = "/tmp/pc", true }, ""},
 		{"proof cache mirror", func(o *options) { o.proofCache, o.proofCacheMirror, o.mirrorSet = "/tmp/pc", 4, true }, ""},

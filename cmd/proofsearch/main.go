@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"llmfscq/internal/core"
@@ -29,6 +30,10 @@ func main() {
 		reduced   = flag.Bool("reduced", false, "use the §4.3 dependency-reduced context")
 	)
 	flag.Parse()
+	if err := validateFlags(options{setting: *setting, fuel: *fuel, width: *width}); err != nil {
+		fmt.Fprintf(os.Stderr, "proofsearch: %v\n", err)
+		os.Exit(2)
+	}
 
 	c, err := corpus.Default()
 	if err != nil {
@@ -65,7 +70,7 @@ func main() {
 		log.Fatalf("unknown model %q", *modelName)
 	}
 	set := prompt.Vanilla
-	if *setting == "hint" {
+	if *setting == prompt.Hint.String() {
 		set = prompt.Hint
 	}
 
@@ -94,4 +99,26 @@ func main() {
 		fmt.Printf("tokens:    generated %d vs human %d; similarity %.3f\n",
 			out.GenTokens, out.HumanTokens, out.Similarity)
 	}
+}
+
+// options holds the flags validateFlags checks.
+type options struct {
+	setting     string
+	fuel, width int
+}
+
+// validateFlags rejects flag values the search would otherwise silently
+// replace: an unknown setting used to run as vanilla, and a non-positive
+// fuel or width used to fall back to 128 and 8.
+func validateFlags(o options) error {
+	if o.setting != prompt.Vanilla.String() && o.setting != prompt.Hint.String() {
+		return fmt.Errorf("unknown -setting %q (want vanilla or hint)", o.setting)
+	}
+	if o.fuel < 1 {
+		return fmt.Errorf("-fuel must be >= 1, got %d", o.fuel)
+	}
+	if o.width < 1 {
+		return fmt.Errorf("-width must be >= 1, got %d", o.width)
+	}
+	return nil
 }

@@ -86,16 +86,18 @@ type BatchDoc interface {
 // an open breaker. Signals never influence proof results — backends mask
 // their own failures — they only steer where future work is routed.
 type HealthSignals struct {
-	// WireChecks counts successfully cross-checked remote executions.
+	// WireChecks counts successfully cross-checked remote executions (and
+	// successful unit round trips).
 	WireChecks int64
 	// Retries counts request-level retry attempts.
 	Retries int64
 	// Resurrections counts sessions rebuilt by redial + replay.
 	Resurrections int64
-	// Degraded counts documents that gave up on the wire mid-proof.
+	// Degraded counts documents that gave up on the wire mid-proof (and
+	// units whose retries ran out).
 	Degraded int64
 	// LocalDocs counts documents opened local-only (pool exhausted, open
-	// breaker, or a dead worker).
+	// breaker, or a dead worker), and units an open breaker refused.
 	LocalDocs int64
 	// BreakerOpen reports whether the backend's circuit breaker currently
 	// rejects wire traffic.
@@ -117,8 +119,7 @@ func (s HealthSignals) Sub(prev HealthSignals) HealthSignals {
 
 // HealthReporter is implemented by backends that expose robustness-ladder
 // signals (internal/remote.Backend). The in-process backend deliberately
-// does not: it has no wire to be unhealthy about, and the coordinator
-// treats a non-reporting backend as permanently healthy.
+// does not: it has no wire to be unhealthy about.
 type HealthReporter interface {
 	Health() HealthSignals
 }

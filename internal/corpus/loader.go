@@ -71,6 +71,9 @@ type Theorem struct {
 
 // Corpus is the loaded development.
 type Corpus struct {
+	// Hash is the content hash of the sources the corpus was loaded from
+	// (see Hash).
+	Hash     [2]uint64
 	Env      *kernel.Env
 	Files    []string
 	Items    map[string][]Item // per file, in order
@@ -121,6 +124,7 @@ type Options struct {
 // Load parses and resolves the given files in order.
 func Load(files []SourceFile, opts Options) (*Corpus, error) {
 	c := &Corpus{
+		Hash:    Hash(files),
 		Env:     kernel.NewEnv(),
 		Items:   map[string][]Item{},
 		Imports: map[string][]string{},

@@ -1,12 +1,10 @@
 package eval
 
-import "llmfscq/internal/checker"
-
 // GridUnit addresses one (job, theorem) cell of a grid: the unit of work
 // the distributed-sweep coordinator dispatches, steals, and re-dispatches.
 // An Outcome is a pure function of the runner's configuration and the unit
-// — never of the backend, the worker, or the schedule — which is the whole
-// byte-identity argument of internal/sweep.
+// — never of the backend, the worker, or the schedule — which is the first
+// leg of internal/sweep's byte-identity argument.
 type GridUnit struct {
 	Job, Th int
 }
@@ -59,17 +57,8 @@ func Partition(units []GridUnit, n int) [][]GridUnit {
 	return shards
 }
 
-// RunUnit evaluates one grid cell through an overriding execution backend
-// (nil: the runner's own). The runner is copied by value, the established
-// ablation pattern: copies share every corpus-derived cache through
-// pointers, so a fleet of workers evaluating units through distinct
-// backends still warms — and hits — one prompt cache, one environment
-// index, and one Try memo.
-func (r *Runner) RunUnit(jobs []GridJob, u GridUnit, be checker.Backend) Outcome {
-	rr := *r
-	if be != nil {
-		rr.Backend = be
-	}
+// RunUnit evaluates one grid cell in process.
+func (r *Runner) RunUnit(jobs []GridJob, u GridUnit) Outcome {
 	j := jobs[u.Job]
-	return rr.RunTheorem(j.Profile, j.Setting, j.Theorems[u.Th])
+	return r.RunTheorem(j.Profile, j.Setting, j.Theorems[u.Th])
 }

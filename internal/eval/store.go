@@ -151,6 +151,13 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 	if r.ProofStore == nil || r.persist == nil || search == "" {
 		return store.OutcomeKey{}, false
 	}
+	return r.unitKey(prof, settingStr, variant, search, th, env), true
+}
+
+// unitKey computes the outcome key of one search: what the proof store
+// files its outcome under, and what a fleet worker must agree on before it
+// runs the unit.
+func (r *Runner) unitKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env) store.OutcomeKey {
 	width, fuel := r.effectiveBudget()
 	root := tactic.NewState(env, th.Stmt).StrictKey()
 	return store.OutcomeKey{
@@ -163,7 +170,7 @@ func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search stri
 		Width:   width,
 		Fuel:    fuel,
 		Seed:    r.Seed,
-	}, true
+	}
 }
 
 // rebuildOutcome reconstructs a full Outcome from its persisted record.

@@ -11,6 +11,7 @@ import (
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/sexp"
+	"llmfscq/internal/store"
 )
 
 // FuzzReadMsg feeds arbitrary bytes through the wire reader. The invariant
@@ -95,6 +96,8 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add("(Query Frob)")
 	f.Add("(Ping)")
 	f.Add("(Ping extra args)")
+	f.Add(encodeUnitRequest(testUnitReq).String())
+	f.Add("(RunUnit (Corpus \"zz\") (Seed 1))")
 	f.Add("(Quit)")
 	f.Add("(Frobnicate (Deeply (Nested)))")
 	f.Add("17")
@@ -104,7 +107,7 @@ func FuzzParseRequest(f *testing.F) {
 		if perr != nil || msg == nil {
 			return // ReadMsg would have answered ErrBadMessage
 		}
-		sess := &session{env: fuzzEnv(t)}
+		sess := &session{env: fuzzEnv(t), units: unitFunc(func(UnitRequest) (store.OutcomeRec, error) { return testUnitRec, nil })}
 		// Interpret the fuzzed request twice from both a fresh and an open
 		// document, so doc-dependent commands get coverage.
 		for round := 0; round < 2; round++ {

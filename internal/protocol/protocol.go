@@ -20,6 +20,11 @@
 //	(Ping)                         liveness probe: answered (Pong) without
 //	                               touching the document — the sweep
 //	                               coordinator's cheap worker health check
+//	(RunUnit (Corpus "h") (Env "h") (Root "h") (Profile "h")
+//	         (Setting "s") (Variant "v") (Search "s") (Width n)
+//	         (Fuel n) (Seed "n") (Theorem "t") (Model "m"))
+//	                               run one whole grid unit (one search)
+//	                               on the worker; see below
 //	(Quit)                         close the connection
 //
 // Answers:
@@ -32,11 +37,27 @@
 //	                               payload per ExecBatch sentence, in order
 //	(Answer k (Goals "text")) / (Answer k (Fingerprint "fp")) / ...
 //	(Answer k (Pong))
+//	(Answer k (Unit (Status s) (Queries q) (Proof "p") (Sum "h")))
+//	(Answer k (Refused "message"))  RunUnit declined: configuration mismatch
 //	(Answer k (Error "message"))
 //
 // Applied/Proved answers carry the canonical state fingerprint so a client
 // can cross-check a remote execution against a local mirror in one
 // round-trip; see internal/remote.
+//
+// RunUnit is the distributed sweep's op (internal/sweep). The request
+// carries the unit's persistent outcome key from internal/store (hashes
+// in hex, names as strings) plus the theorem and model profile names; the
+// worker's UnitHandler recomputes the key from its own corpus and refuses
+// the unit when it differs — a corpus, hint-split, profile-calibration, or
+// search mismatch between coordinator and worker is a configuration error,
+// never a silently different result. The answer carries only what the
+// store persists for a unit: status, query count, and proof script, with
+// an FNV-64 checksum over request and record, so a garbled answer that
+// still parses is rejected as a transport fault (and retried) instead of
+// becoming a verdict. The worker is not trusted beyond that: the
+// coordinator replays every Proved script through the kernel and
+// recomputes a deterministic sample of units itself.
 package protocol
 
 import (

@@ -26,6 +26,9 @@ type Server struct {
 	Env *kernel.Env
 	// MaxConns caps concurrently served connections (<=0: DefaultMaxConns).
 	MaxConns int
+	// Units runs whole grid units for the RunUnit op (nil: RunUnit is
+	// refused). Set before Serve.
+	Units UnitHandler
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -222,8 +225,9 @@ func restrictBefore(env *kernel.Env, name string) *kernel.Env {
 // document. dispatch is pure with respect to the connection, which makes
 // the request interpreter fuzzable without sockets (FuzzParseRequest).
 type session struct {
-	env *kernel.Env
-	doc *checker.Session
+	env   *kernel.Env
+	units UnitHandler
+	doc   *checker.Session
 }
 
 func errPayload(msg string) *sexp.Node {
@@ -291,6 +295,8 @@ func (s *session) dispatch(msg *sexp.Node) (payload *sexp.Node, quit bool) {
 		return s.execReply(res), false
 	case "ExecBatch":
 		return s.execBatch(msg), false
+	case "RunUnit":
+		return s.runUnit(msg), false
 	case "Cancel":
 		if s.doc == nil {
 			return errPayload("no open document"), false
@@ -402,7 +408,7 @@ func (s *session) newDoc(spec *sexp.Node) *sexp.Node {
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	sess := &session{env: s.Env}
+	sess := &session{env: s.Env, units: s.Units}
 	seq := 0
 	for {
 		msg, err := ReadMsg(r)

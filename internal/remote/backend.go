@@ -74,6 +74,7 @@ type Backend struct {
 
 	breaker  *Breaker
 	pool     chan struct{}
+	idle     chan *protocol.Client // parked RunUnit sessions
 	sleep    func(time.Duration)
 	initOnce sync.Once
 	connID   atomic.Int64
@@ -94,6 +95,7 @@ func (b *Backend) init() {
 			b.PoolSize = 1
 		}
 		b.pool = make(chan struct{}, b.PoolSize)
+		b.idle = make(chan *protocol.Client, b.PoolSize)
 		b.breaker = &Breaker{Threshold: b.Policy.BreakerThreshold, Cooldown: b.Policy.BreakerCooldown}
 		if b.sleep == nil {
 			b.sleep = time.Sleep
@@ -101,9 +103,22 @@ func (b *Backend) init() {
 	})
 }
 
-// Close releases backend resources. Open documents hold their own
-// connections and must be closed by their owners.
-func (b *Backend) Close() error { return nil }
+// Close releases backend resources: the parked RunUnit sessions, closed
+// best-effort (a worker that died since parking has nothing to report).
+// Open documents hold their own connections and must be closed by their
+// owners.
+func (b *Backend) Close() error {
+	b.init()
+	for {
+		select {
+		case cl := <-b.idle:
+			//lint:ignore errdrop best-effort teardown of a parked session
+			_ = cl.Close()
+		default:
+			return nil
+		}
+	}
+}
 
 // Breaker exposes the circuit breaker (for tests and status reporting).
 func (b *Backend) Breaker() *Breaker { b.init(); return b.breaker }

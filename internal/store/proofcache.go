@@ -247,9 +247,14 @@ func (c *Cache) enqueue(key, val []byte) {
 
 // outcomeKeyBytes encodes k with the cache's corpus hash.
 func (c *Cache) outcomeKeyBytes(k OutcomeKey) []byte {
+	return encodeOutcomeKey(c.corpus, k)
+}
+
+// encodeOutcomeKey renders the store key of k under a corpus hash.
+func encodeOutcomeKey(corpus [2]uint64, k OutcomeKey) []byte {
 	buf := make([]byte, 0, 96+len(k.Setting)+len(k.Variant)+len(k.Search))
 	buf = append(buf, nsOutcome)
-	buf = appendPair(buf, c.corpus)
+	buf = appendPair(buf, corpus)
 	buf = appendPair(buf, k.Env)
 	buf = appendPair(buf, k.Root)
 	buf = binary.BigEndian.AppendUint64(buf, k.Profile)
@@ -293,18 +298,33 @@ func (c *Cache) RecordOutcome(k OutcomeKey, rec OutcomeRec) {
 	c.enqueue(c.outcomeKeyBytes(k), val)
 }
 
+// HasOutcome reports whether an outcome for k is persisted, without
+// counting a lookup.
+func (c *Cache) HasOutcome(k OutcomeKey) bool {
+	return c.st.Has(c.outcomeKeyBytes(k))
+}
+
 // MirrorOutcome reports whether k falls in the deterministic mirror sample:
 // roughly one key in MirrorDen, chosen by key hash so the same key is
 // always (or never) cross-checked, independent of schedule.
 func (c *Cache) MirrorOutcome(k OutcomeKey) bool {
-	if c.mirrorDen <= 0 {
+	return MirrorPick(c.corpus, k, c.mirrorDen)
+}
+
+// MirrorPick is the mirror-sample rule shared by every untrusted outcome
+// source (the store's warm hits, the fleet's remote units): roughly one key
+// in den, chosen by the hash of the key's store encoding under corpus, so
+// the same key is always (or never) sampled, independent of schedule.
+// den <= 0 samples nothing.
+func MirrorPick(corpus [2]uint64, k OutcomeKey, den int) bool {
+	if den <= 0 {
 		return false
 	}
 	h := uint64(1469598103934665603)
-	for _, b := range c.outcomeKeyBytes(k) {
+	for _, b := range encodeOutcomeKey(corpus, k) {
 		h = (h ^ uint64(b)) * 1099511628211
 	}
-	return h%uint64(c.mirrorDen) == 0
+	return h%uint64(den) == 0
 }
 
 // NoteMirror records one outcome-level mirror cross-check result.

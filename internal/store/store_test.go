@@ -101,7 +101,7 @@ func TestSegmentRotation(t *testing.T) {
 }
 
 // lastSegPath returns the path of the highest-numbered segment.
-func lastSegPath(t *testing.T, dir string) string {
+func lastSegPath(t testing.TB, dir string) string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,34 +1,49 @@
 // Package sweep distributes an experiment grid across a fleet of checkerd
 // workers: a coordinator shards the grid's (job, theorem) units over N
-// workers with work-stealing, scores each worker's health from the
-// robustness-ladder signals of its backend, re-dispatches stragglers with
-// first-result-wins dedup, and merges results in job order on the
+// workers with work-stealing, ships each unit whole to a worker (the
+// protocol's RunUnit op), scores each worker's health from the
+// robustness-ladder signals of its wire client, re-dispatches stragglers
+// with first-result-wins dedup, and merges results in job order on the
 // coordinator goroutine.
 //
-// The output is byte-identical to the single-process sweep by construction,
-// under any schedule and any fleet chaos. The argument has three legs:
+// The output is byte-identical to the single-process sweep under any
+// schedule and any fleet chaos. The argument has three legs:
 //
 //  1. Unit purity. An Outcome is a pure function of (runner configuration,
-//     unit): each search derives its RNG from a per-unit seed, shared
-//     caches only deduplicate identical computations, and the remote
-//     backend is mirror-first — the wire cross-checks, it never answers.
-//     So the worker executing a unit cannot influence its Outcome, even by
-//     dying mid-proof (the document degrades to local execution and
-//     completes).
+//     unit): each search derives its RNG from a per-unit seed, and shared
+//     caches only deduplicate identical computations. A worker runs the
+//     unit with its own Runner over its own corpus, so before it runs
+//     anything it recomputes the unit's persistent outcome key and refuses
+//     the unit when its corpus, hint split, profile calibration, or search
+//     configuration differs — a loud configuration error, never a quietly
+//     different table.
 //
-//  2. Fixed coordinates. Results land at out[job][theorem], never appended
-//     in completion order, so the merge is schedule-independent.
+//  2. Certificate replay plus sampled recompute. A worker's answer is
+//     untrusted, like a record read back from the proof store, and is
+//     checked the same way (eval.AcceptUnit). Every Proved script is
+//     replayed through the kernel from the root in the theorem's restricted
+//     environment — Coq's Qed discipline: a proof counts because the
+//     kernel re-checks it, not because the prover says so. One unit in
+//     eval.UnitMirrorDen, picked by key hash with the store's mirror rule,
+//     is recomputed in process and compared field by field. A replay
+//     failure or mismatch fails the run (Err) and the local recomputation
+//     takes the unit's place. Transport faults never become verdicts: the
+//     answer is checksummed, and a garbled, torn, dropped, or late answer
+//     is retried and, when the worker's ladder is exhausted, requeued.
 //
-//  3. Single-writer merge. Only the coordinator goroutine writes the
+//  3. Fixed coordinates. Results land at out[job][theorem], never appended
+//     in completion order, and only the coordinator goroutine writes the
 //     result matrix; duplicate results (straggler re-dispatch races) are
-//     dropped by a first-result-wins filter, and by leg 1 the dropped
-//     duplicate is byte-identical to the kept original anyway.
+//     dropped by a first-result-wins filter, and by legs 1 and 2 the
+//     dropped duplicate equals the kept original anyway.
 //
-// Work routing — shards, steals, straggler duplicates, health quarantine,
-// the in-process fallback — therefore only moves latency, never bytes.
+// Work routing — shards, steals, requeues, straggler duplicates, health
+// quarantine, the in-process fallback — therefore only moves latency,
+// never bytes.
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -37,6 +52,7 @@ import (
 
 	"llmfscq/internal/eval"
 	"llmfscq/internal/faultpoint"
+	"llmfscq/internal/protocol"
 )
 
 // DefaultStragglerAfter is how long a unit may stay in flight before an
@@ -65,13 +81,23 @@ type Stats struct {
 	// Fallback counts units the coordinator ran inline after the whole
 	// fleet became unavailable.
 	Fallback atomic.Int64
+	// Remote counts units a worker ran and the coordinator certified.
+	Remote atomic.Int64
+	// Requeues counts units put back in a queue after a transport failure.
+	Requeues atomic.Int64
+	// ReplayFailures and Mismatches count remote records that failed
+	// certification (eval.ErrReplay, eval.ErrMismatch). Either fails the
+	// run (see Err), as does a unit a worker refuses.
+	ReplayFailures atomic.Int64
+	Mismatches     atomic.Int64
 }
 
 // Snapshot renders the counters for logging.
 func (s *Stats) Snapshot() string {
-	return fmt.Sprintf("executions=%d steals=%d redispatches=%d duplicates=%d quarantines=%d kills=%d stalls=%d fallback=%d",
-		s.Executions.Load(), s.Steals.Load(), s.Redispatches.Load(), s.Duplicates.Load(),
-		s.Quarantines.Load(), s.Kills.Load(), s.Stalls.Load(), s.Fallback.Load())
+	return fmt.Sprintf("executions=%d remote=%d requeues=%d steals=%d redispatches=%d duplicates=%d quarantines=%d kills=%d stalls=%d fallback=%d replay-failures=%d mismatches=%d",
+		s.Executions.Load(), s.Remote.Load(), s.Requeues.Load(), s.Steals.Load(),
+		s.Redispatches.Load(), s.Duplicates.Load(), s.Quarantines.Load(), s.Kills.Load(), s.Stalls.Load(),
+		s.Fallback.Load(), s.ReplayFailures.Load(), s.Mismatches.Load())
 }
 
 // flight is one dispatched-but-unmerged unit.
@@ -85,10 +111,10 @@ type flight struct {
 // Coordinator fans one grid over a fleet of workers. Configure the
 // exported fields before RunGrid; a Coordinator runs one grid at a time.
 type Coordinator struct {
-	// Runner owns the corpus, caches, and search hyperparameters. Worker
-	// executions copy it per unit with the worker's backend swapped in, so
-	// every worker shares the same prompt cache, environment index, and Try
-	// memo.
+	// Runner owns the corpus, caches, and search hyperparameters. It keys
+	// the units shipped to workers, certifies their answers, and runs the
+	// units that stay in process (the mirror sample, store hits, and the
+	// fallback).
 	Runner *eval.Runner
 	// Workers is the fleet (empty: RunGrid degenerates to the runner's own
 	// single-process scheduler).
@@ -112,12 +138,33 @@ type Coordinator struct {
 	Stats Stats
 
 	mu        sync.Mutex
-	queues    [][]int           // per-worker shard deques of unit indices
-	flights   []*flight         // in-flight units, unordered
-	flightPos map[int]int       // unit index -> position in flights
-	completed []bool            // merged units
-	remaining int               // units not yet merged
-	wake      chan struct{}     // closed+replaced on every merge
+	queues    [][]int       // per-worker shard deques of unit indices
+	flights   []*flight     // in-flight units, unordered
+	flightPos map[int]int   // unit index -> position in flights
+	completed []bool        // merged units
+	remaining int           // units not yet merged
+	wake      chan struct{} // closed+replaced on every merge or requeue
+	err       error         // first certification failure or refusal
+}
+
+// Err returns the sweep's first fatal error: a worker record that failed
+// kernel replay or disagreed with its sampled recomputation, or a unit a
+// worker refused for a configuration mismatch. The tables RunGrid returned
+// are still right (the coordinator recomputed those units itself), but the
+// fleet is broken or misconfigured and the run must fail.
+func (c *Coordinator) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// fail records a fatal error; the first one wins.
+func (c *Coordinator) fail(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+	}
 }
 
 // New builds a coordinator over a runner and a fleet.
@@ -187,6 +234,7 @@ func (c *Coordinator) RunGrid(jobs []eval.GridJob) [][]eval.Outcome {
 		c.queues[i] = q
 	}
 	c.flights = nil
+	c.err = nil
 	c.flightPos = make(map[int]int)
 	c.completed = make([]bool, len(units))
 	c.remaining = len(units)
@@ -225,8 +273,8 @@ func (c *Coordinator) RunGrid(jobs []eval.GridJob) [][]eval.Outcome {
 // merge is the coordinator goroutine's single-writer result loop:
 // first-result-wins per unit, fixed coordinates, job order by construction
 // of the matrix. If the whole fleet quarantines itself away, the loop runs
-// the leftovers inline through the in-process backend — outcomes are
-// backend-independent, so even total fleet loss cannot change a byte.
+// the leftovers inline — outcomes are worker-independent, so even total
+// fleet loss cannot change a byte.
 func (c *Coordinator) merge(jobs []eval.GridJob, units []eval.GridUnit, out [][]eval.Outcome, results <-chan unitResult, stranded <-chan struct{}) {
 	merged := make([]bool, len(units))
 	remaining := len(units)
@@ -260,7 +308,7 @@ func (c *Coordinator) merge(jobs []eval.GridJob, units []eval.GridUnit, out [][]
 				accept(<-results)
 				continue
 			}
-			o := c.Runner.RunUnit(jobs, units[idx], nil)
+			o := c.Runner.RunUnit(jobs, units[idx])
 			c.Stats.Fallback.Add(1)
 			c.Stats.Executions.Add(1)
 			accept(unitResult{idx: idx, out: o})
@@ -339,11 +387,15 @@ func (c *Coordinator) workerLoop(w *Worker, slot int, jobs []eval.GridJob, units
 			c.sleep(c.stallFor())
 		}
 		before := w.health()
-		o := c.Runner.RunUnit(jobs, units[idx], w.Backend)
+		o, err := c.execute(w, jobs, units[idx])
 		w.scorer().Observe(w.health().Sub(before))
-		w.units.Add(1)
-		c.Stats.Executions.Add(1)
-		results <- unitResult{idx: idx, out: o}
+		if err != nil {
+			c.requeue(w, idx)
+		} else {
+			w.units.Add(1)
+			c.Stats.Executions.Add(1)
+			results <- unitResult{idx: idx, out: o}
+		}
 		if w.scorer().Quarantined() {
 			// Benched: stop pulling units. The shard this worker leaves
 			// behind is stolen by healthy workers (or, in the limit, run by
@@ -354,6 +406,60 @@ func (c *Coordinator) workerLoop(w *Worker, slot int, jobs []eval.GridJob, units
 			return
 		}
 	}
+}
+
+// execute runs one unit for a worker slot. The unit is shipped whole to
+// the worker and its answer certified (eval.AcceptUnit); units that cannot
+// be named on the wire or that the proof store already answers run in
+// process, as does everything after a fatal error (the run is failing
+// anyway, and the coordinator's own results are the trusted ones). A
+// non-nil error is a transport failure: the caller requeues the unit.
+func (c *Coordinator) execute(w *Worker, jobs []eval.GridJob, u eval.GridUnit) (eval.Outcome, error) {
+	req, ok := c.Runner.UnitRequest(jobs, u)
+	if !ok || w.unit == nil || c.Err() != nil {
+		return c.Runner.RunUnit(jobs, u), nil
+	}
+	rec, err := w.unit.RunUnit(req)
+	if errors.Is(err, protocol.ErrRefused) {
+		c.fail(fmt.Errorf("sweep: worker %d (%s) refused a unit — coordinator and worker disagree about the configuration: %w", w.ID, w.Name, err))
+		return c.Runner.RunUnit(jobs, u), nil
+	}
+	if err != nil {
+		return eval.Outcome{}, err
+	}
+	o, err := c.Runner.AcceptUnit(jobs, u, req, rec)
+	if err != nil {
+		if errors.Is(err, eval.ErrMismatch) {
+			c.Stats.Mismatches.Add(1)
+		} else {
+			c.Stats.ReplayFailures.Add(1)
+		}
+		// Either way the worker's answer disagreed with the kernel: count
+		// it where wire/mirror disagreements are counted too.
+		w.unit.Stats.Mismatches.Add(1)
+		c.fail(fmt.Errorf("sweep: worker %d (%s): %w", w.ID, w.Name, err))
+		return o, nil
+	}
+	c.Stats.Remote.Add(1)
+	w.remote.Add(1)
+	return o, nil
+}
+
+// requeue puts a unit whose execution failed in transport back at the back
+// of the worker's shard — where stealers take from first — and wakes every
+// waiting slot. If the whole fleet quarantines itself away, the stranded
+// fallback claims it from there.
+func (c *Coordinator) requeue(w *Worker, idx int) {
+	c.Stats.Requeues.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.completed[idx] {
+		return // a straggler duplicate already delivered it
+	}
+	c.removeFlightLocked(idx)
+	c.queues[w.ID] = append(c.queues[w.ID], idx)
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // killWorker fires the worker's kill hook at most once.
@@ -377,6 +483,7 @@ func (c *Coordinator) next(w *Worker) (int, bool) {
 			c.mu.Unlock()
 			return 0, false
 		}
+		c.dropCompletedLocked()
 		// 1. Own shard, front: preserves the locality of the initial
 		// partition while the fleet is balanced.
 		if q := c.queues[w.ID]; len(q) > 0 {
@@ -387,7 +494,8 @@ func (c *Coordinator) next(w *Worker) (int, bool) {
 			return idx, true
 		}
 		// 2. Steal from the longest shard, back: classic work-stealing;
-		// taking from the back keeps the victim's locality intact.
+		// taking from the back keeps the victim's locality intact (and
+		// picks up requeued units first).
 		victim, best := -1, 0
 		for i, q := range c.queues {
 			if len(q) > best {
@@ -432,6 +540,21 @@ func (c *Coordinator) next(w *Worker) (int, bool) {
 			<-wake
 		}
 		c.mu.Lock()
+	}
+}
+
+// dropCompletedLocked trims merged units off both ends of every shard. A
+// requeued unit can be merged through a straggler duplicate while it sits
+// in a queue; it must not run again.
+func (c *Coordinator) dropCompletedLocked() {
+	for i, q := range c.queues {
+		for len(q) > 0 && c.completed[q[0]] {
+			q = q[1:]
+		}
+		for len(q) > 0 && c.completed[q[len(q)-1]] {
+			q = q[:len(q)-1]
+		}
+		c.queues[i] = q
 	}
 }
 
@@ -503,8 +626,8 @@ func (c *Coordinator) WorkerReport() string {
 		case w.scorer().Quarantined():
 			status = "quarantined"
 		}
-		fmt.Fprintf(&b, "worker %d (%s): units=%d steals=%d redispatches=%d score=%.2f %s\n",
-			w.ID, w.Name, w.Units(), w.Steals(), w.Redispatches(), w.scorer().Score(), status)
+		fmt.Fprintf(&b, "worker %d (%s): units=%d remote=%d steals=%d redispatches=%d score=%.2f %s\n",
+			w.ID, w.Name, w.Units(), w.Remote(), w.Steals(), w.Redispatches(), w.scorer().Score(), status)
 	}
 	return b.String()
 }

@@ -3,6 +3,8 @@ package sweep
 import (
 	"fmt"
 
+	"llmfscq/internal/corpus"
+	"llmfscq/internal/eval"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/protocol"
 )
@@ -18,15 +20,26 @@ type Fleet struct {
 }
 
 // SpawnFleet starts n servers over env (each restricted per-lemma exactly
-// like a standalone checkerd). On error, every already-started member is
-// torn down.
+// like a standalone checkerd), all serving units through one shared
+// eval.UnitHandler over the embedded corpus (corpus.Default, memoized per
+// process). On error, every already-started member is torn down.
 func SpawnFleet(env *kernel.Env, n int) (*Fleet, error) {
+	c, err := corpus.Default()
+	if err != nil {
+		return nil, fmt.Errorf("sweep: loading the workers' corpus: %w", err)
+	}
+	return spawnFleet(env, n, eval.NewUnitHandler(c))
+}
+
+// spawnFleet is SpawnFleet with the members' unit handler given.
+func spawnFleet(env *kernel.Env, n int, units protocol.UnitHandler) (*Fleet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sweep: fleet size %d < 1", n)
 	}
 	f := &Fleet{}
 	for i := 0; i < n; i++ {
 		srv := protocol.NewServer(env)
+		srv.Units = units
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			f.Close()

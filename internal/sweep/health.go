@@ -13,16 +13,21 @@ import (
 // the ladder held.
 //
 // Retries and resurrections are blips the ladder absorbed, so they are
-// judged as a fraction of the wire traffic that produced them: 10 retries
-// among 3000 cross-checks is a worker on a slightly lossy wire and worth
-// keeping (a unit of search traffic easily runs to thousands of wire
-// checks, so any absolute per-retry charge would bench every worker under
-// mild chaos); 10 retries among 12 checks is a wire in real trouble.
+// judged as a rate: their weighted count over the wire traffic that
+// produced them, both summed over the same decaying window as the penalty.
+// 10 retries among 3000 round trips is a worker on a slightly lossy wire
+// and worth keeping, 10 among 12 is a wire in real trouble. The rate is a
+// level, not an accumulation, so a steadily lossy worker holds a steady
+// score however long the sweep runs, and it does not depend on how much
+// traffic one observation carries (a fleet unit is a single round trip).
+// The window counts at least blipMinTraffic attempts, so one retry on a
+// worker's first unit reads as a blip, not a 50% failure rate.
 //
-// Degraded documents, local-only opens, and an open breaker mean the
-// ladder was exhausted — the worker contributed nothing over the
-// coordinator running the unit itself — and are charged absolutely: a dead
-// worker crosses the quarantine threshold within three units.
+// Degraded units, units refused by an open breaker, and an open breaker
+// itself mean the ladder was exhausted — the worker contributed nothing
+// over the coordinator running the unit itself — and are charged
+// absolutely: a dead worker crosses the quarantine threshold within three
+// units.
 const (
 	// DefaultQuarantineBelow is the score under which a worker is
 	// quarantined.
@@ -32,20 +37,21 @@ const (
 	// healthy worker into quarantine.
 	DefaultRecoveryHalfLife = 30 * time.Second
 
-	blipRetryWeight     = 2.0
-	blipResurrectWeight = 4.0
+	blipRetryWeight     = 3.0
+	blipResurrectWeight = 6.0
 	penaltyDegraded     = 3.0
 	penaltyLocalDoc     = 1.5
 	penaltyBreakerOpen  = 4.0
+	blipMinTraffic      = 8.0
 )
 
 // Scorer scores one worker's health in (0,1] from the robustness-ladder
 // deltas observed around each unit of work. The score is
-// 1/(1+penalty), where penalty accumulates from failure signals and decays
-// exponentially with RecoveryHalfLife — so a worker that hiccuped once
-// recovers, while a dead one (every unit burning retries, local-only
-// documents, and finally an open breaker) crosses the quarantine threshold
-// within a few units.
+// 1/(1+penalty+blip level), where penalty accumulates from ladder-exhausted
+// signals, and it and the blip window decay exponentially with
+// RecoveryHalfLife — so a worker that hiccuped once
+// recovers, while a dead one (every unit burning its retries, then refused
+// by an open breaker) crosses the quarantine threshold within a few units.
 //
 // Quarantine is sticky for the sweep: scores steer dispatch, and a worker
 // bad enough to trip the threshold has already cost straggler re-dispatches
@@ -61,11 +67,14 @@ type Scorer struct {
 	// transitions are testable without sleeping.
 	Now func() time.Time
 
-	mu          sync.Mutex
-	penalty     float64
-	last        time.Time
-	hasLast     bool
-	quarantined bool
+	mu      sync.Mutex
+	penalty float64 // ladder-exhausted signals, absolute
+	// blips and traffic are the decayed weighted blip count and wire
+	// attempts whose ratio is the blip level.
+	blips, traffic float64
+	last           time.Time
+	hasLast        bool
+	quarantined    bool
 }
 
 func (s *Scorer) now() time.Time {
@@ -83,7 +92,10 @@ func (s *Scorer) decayLocked(now time.Time) {
 	}
 	if s.hasLast {
 		if dt := now.Sub(s.last); dt > 0 {
-			s.penalty *= math.Exp2(-float64(dt) / float64(hl))
+			f := math.Exp2(-float64(dt) / float64(hl))
+			s.penalty *= f
+			s.blips *= f
+			s.traffic *= f
 		}
 	}
 	s.last = now
@@ -98,10 +110,8 @@ func (s *Scorer) Observe(d checker.HealthSignals) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.decayLocked(s.now())
-	// Blips, as a failure fraction of the unit's wire attempts.
-	if att := float64(d.WireChecks + d.Retries); att > 0 {
-		s.penalty += (blipRetryWeight*float64(d.Retries) + blipResurrectWeight*float64(d.Resurrections)) / att
-	}
+	s.traffic += float64(d.WireChecks + d.Retries)
+	s.blips += blipRetryWeight*float64(d.Retries) + blipResurrectWeight*float64(d.Resurrections)
 	// Ladder-exhausted signals, absolute.
 	s.penalty += penaltyDegraded*float64(d.Degraded) + penaltyLocalDoc*float64(d.LocalDocs)
 	if d.BreakerOpen {
@@ -119,7 +129,9 @@ func (s *Scorer) threshold() float64 {
 	return DefaultQuarantineBelow
 }
 
-func (s *Scorer) scoreLocked() float64 { return 1 / (1 + s.penalty) }
+func (s *Scorer) scoreLocked() float64 {
+	return 1 / (1 + s.penalty + s.blips/math.Max(s.traffic, blipMinTraffic))
+}
 
 // Score returns the current health in (0,1], after aging the penalty to
 // the present.

@@ -140,3 +140,44 @@ func TestScorerBreakerOpenIsALevel(t *testing.T) {
 		t.Fatalf("second open-breaker unit did not lower the score: %v -> %v", one, got)
 	}
 }
+
+// The same properties under unit-level signals, where every observation is
+// one RunUnit round trip: a worker that retries a steady few percent of its
+// units is never benched, however long the sweep, while a dead one — every
+// unit exhausting the ladder, then refused by the open breaker — is
+// quarantined within three units.
+func TestScorerUnitLevelSignals(t *testing.T) {
+	lossy, clk := newClockedScorer()
+	worst := 1.0
+	for unit := 1; unit <= 2000; unit++ {
+		d := checker.HealthSignals{WireChecks: 1}
+		if unit%16 == 1 { // one unit in 16 needs a retry, the first one included
+			d.Retries, d.Resurrections = 1, 1
+		}
+		lossy.Observe(d)
+		clk.advance(5 * time.Millisecond)
+		if s := lossy.Score(); s < worst {
+			worst = s
+		}
+	}
+	if lossy.Quarantined() || worst < 0.4 {
+		t.Fatalf("lossy unit stream: quarantined=%v, worst score %.3f", lossy.Quarantined(), worst)
+	}
+
+	dead, _ := newClockedScorer()
+	units := 0
+	for !dead.Quarantined() {
+		units++
+		d := checker.HealthSignals{Retries: 2, Resurrections: 2, Degraded: 1}
+		if units > 1 {
+			d = checker.HealthSignals{LocalDocs: 1, BreakerOpen: true}
+		}
+		dead.Observe(d)
+		if units > 10 {
+			t.Fatalf("dead unit stream never quarantined (score %.3f)", dead.Score())
+		}
+	}
+	if units > 3 {
+		t.Errorf("dead worker took %d units to quarantine, want <= 3", units)
+	}
+}

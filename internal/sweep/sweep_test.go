@@ -53,8 +53,8 @@ func renderTables(jobs []eval.GridJob, outs [][]eval.Outcome) string {
 
 // TestDistributedGridEquivalence: a grid sharded over a healthy 4-worker
 // fleet merges to the same [][]Outcome — and byte-equal rendered tables —
-// as the single-process scheduler, with the wire demonstrably exercised on
-// every worker.
+// as the single-process scheduler, with units demonstrably served remotely
+// by every worker.
 func TestDistributedGridEquivalence(t *testing.T) {
 	base := newRunner(t)
 	jobs := testJobs(base, 16)
@@ -82,12 +82,14 @@ func TestDistributedGridEquivalence(t *testing.T) {
 	if n := co.Stats.Executions.Load(); n < int64(units) {
 		t.Fatalf("executed %d units, grid has %d", n, units)
 	}
+	if err := co.Err(); err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range workers {
-		be := w.Backend.(*remote.Backend)
-		if be.Stats.WireChecks.Load() == 0 {
-			t.Fatalf("worker %d: wire never exercised: %s", w.ID, be.Stats.Snapshot())
+		if w.Remote() == 0 {
+			t.Fatalf("worker %d: no unit served remotely\nstats: %s", w.ID, co.Stats.Snapshot())
 		}
-		if n := be.Stats.Mismatches.Load(); n != 0 {
+		if n := w.Backend.(*remote.Backend).Stats.Mismatches.Load(); n != 0 {
 			t.Fatalf("worker %d: %d semantic mismatches", w.ID, n)
 		}
 	}

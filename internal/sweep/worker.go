@@ -9,18 +9,21 @@ import (
 	"llmfscq/internal/remote"
 )
 
-// Worker is one checkerd worker of the fleet: an execution backend plus the
-// coordinator-side state that routes work to it (health score, counters,
-// kill hook). Workers never own results — the mirror-first backend design
-// means any worker, healthy or dead, produces the same Outcome for a unit —
-// so everything here is routing and observability.
+// Worker is one checkerd worker of the fleet: the wire client that ships it
+// whole units, plus the coordinator-side state that routes work to it
+// (health score, counters, kill hook). Workers never own results — every
+// answer is certified by the coordinator before it counts — so everything
+// here is routing and observability.
 type Worker struct {
 	// ID is the worker's index in the coordinator's fleet.
 	ID int
 	// Name labels the worker in reports (conventionally its address).
 	Name string
-	// Backend executes this worker's units (normally a *remote.Backend
-	// dialing one checkerd).
+	// Backend is the worker's tactic-level execution backend (a
+	// *remote.Backend dialing its checkerd, for callers that drive proof
+	// documents on it). The coordinator does not run units through it: it
+	// ships them whole through the unit client taken at dial time, so a
+	// wrapper installed here changes nothing about where units run.
 	Backend checker.Backend
 	// Scorer tracks the worker's health (nil: a default Scorer).
 	Scorer *Scorer
@@ -32,6 +35,11 @@ type Worker struct {
 	// by the worker-kill fault site and fired at most once.
 	Kill func()
 
+	// unit is the RunUnit client, taken at dial time; nil runs the
+	// worker's units in process.
+	unit *remote.Backend
+
+	remote       atomic.Int64
 	killed       atomic.Bool
 	quarCounted  atomic.Bool
 	units        atomic.Int64
@@ -55,23 +63,26 @@ func (w *Worker) scorer() *Scorer {
 	return w.Scorer
 }
 
-// health snapshots the backend's robustness signals; backends that do not
-// report (in-process) read as permanently healthy.
+// health snapshots the robustness signals of the worker's unit client; a
+// worker without one runs its units in process and reads as permanently
+// healthy.
 func (w *Worker) health() checker.HealthSignals {
-	if hr, ok := w.Backend.(checker.HealthReporter); ok {
-		return hr.Health()
+	if w.unit == nil {
+		return checker.HealthSignals{}
 	}
-	return checker.HealthSignals{}
+	return w.unit.Health()
 }
 
 // Killed reports whether the worker-kill fault site (or a direct Kill) has
 // terminated this worker's process.
 func (w *Worker) Killed() bool { return w.killed.Load() }
 
-// Units, Steals, and Redispatches report how many units the worker
-// executed, how many of those it stole from other workers' shards, and how
-// many were straggler duplicates.
+// Units, Remote, Steals, and Redispatches report how many units the
+// worker's slots executed, how many of those the worker itself ran and the
+// coordinator certified, how many it stole from other workers' shards, and
+// how many were straggler duplicates.
 func (w *Worker) Units() int64        { return w.units.Load() }
+func (w *Worker) Remote() int64       { return w.remote.Load() }
 func (w *Worker) Steals() int64       { return w.steals.Load() }
 func (w *Worker) Redispatches() int64 { return w.redispatches.Load() }
 
@@ -87,18 +98,19 @@ type WorkerOptions struct {
 	Seed int64
 	// StallFor is how long an injected connection stall blocks.
 	StallFor time.Duration
-	// Batch advertises ExecBatch to the search engine (one round trip per
-	// expansion); on by default in the CLI.
+	// Batch advertises ExecBatch on the workers' tactic-level Backend; it
+	// does not affect units, which travel whole.
 	Batch bool
 	// Slots is the per-worker unit concurrency (<=0: 1); it also sizes the
-	// backend's wire-session pool so concurrent units never fall back to
-	// local-only execution just because the pool is small.
+	// backend's session pools, so every slot keeps its own parked session.
 	Slots int
 }
 
-// DialWorkers builds one remote-backend worker per checkerd address. The
-// workers have no Kill hook — the coordinator cannot kill processes it did
-// not spawn; use Fleet for a killable in-process fleet.
+// DialWorkers builds one worker per checkerd address, over one
+// *remote.Backend that serves as both its Backend and its unit client: the
+// unit calls share its Policy, breaker, fault plan, and Stats. The workers
+// have no Kill hook — the coordinator cannot kill processes it did not
+// spawn; use Fleet for a killable in-process fleet.
 func DialWorkers(addrs []string, opt WorkerOptions) []*Worker {
 	workers := make([]*Worker, len(addrs))
 	for i, addr := range addrs {
@@ -117,6 +129,7 @@ func DialWorkers(addrs []string, opt WorkerOptions) []*Worker {
 			Name:    addr,
 			Backend: be,
 			Slots:   slots,
+			unit:    be,
 		}
 	}
 	return workers

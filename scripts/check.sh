@@ -40,12 +40,22 @@ echo "==> go test -race -run TestBackendEquivalence ./internal/eval"
 go test -race -run 'TestBackendEquivalence$' ./internal/eval
 
 # The distributed-sweep suite is the load-bearing regression for the
-# coordinator (work-stealing shards, health quarantine, straggler
-# re-dispatch, stranded fallback): the grid sharded over a worker fleet —
-# healthy, chaotic, or fully dead — must merge to the single-process
-# outcomes exactly, under the race detector.
-echo "==> go test -race -run 'TestDistributed|TestStranded' ./internal/sweep"
-go test -race -run 'TestDistributed|TestStranded' ./internal/sweep
+# coordinator (whole-unit offload, work-stealing shards, health quarantine,
+# straggler re-dispatch, stranded fallback): the grid sharded over a worker
+# fleet — healthy, chaotic, faulted on the wire, or fully dead — must merge
+# to the single-process outcomes exactly, and a lying or misconfigured
+# worker must fail the sweep, under the race detector.
+echo "==> go test -race -run 'TestDistributed|TestStranded|TestLying|TestConfigDrift|TestUnitTransport' ./internal/sweep"
+go test -race -run 'TestDistributed|TestStranded|TestLying|TestConfigDrift|TestUnitTransport' ./internal/sweep
+
+# The untrusted decoders, fuzzed briefly on every gate: a worker's unit
+# answer (never panics, never yields a record without a verifying
+# checksum) and the proof store's segment reader (never panics, never
+# yields a record whose CRC fails).
+echo "==> go test -fuzz FuzzUnitAnswer ./internal/protocol (10s)"
+go test -run '^$' -fuzz '^FuzzUnitAnswer$' -fuzztime 10s ./internal/protocol
+echo "==> go test -fuzz FuzzSegment ./internal/store (10s)"
+go test -run '^$' -fuzz '^FuzzSegment$' -fuzztime 10s ./internal/store
 
 echo "==> go run ./cmd/lint ./..."
 go run ./cmd/lint ./...
