@@ -47,12 +47,6 @@ func loadCorpus(b *testing.B) *corpus.Corpus {
 func newRunner(b *testing.B) *eval.Runner {
 	r := eval.NewRunner(loadCorpus(b), 2025)
 	r.Parallelism = 4
-	// The shared Try memo is part of the measured configuration: repeated
-	// sweeps over the same theorems (vanilla then hint, and every iteration
-	// after the first) resolve most candidate executions from the cache.
-	// Tables are unaffected — TestSearchModeEquivalence holds the cached
-	// run byte-identical to the cold one.
-	r.TryCache = true
 	return r
 }
 
@@ -227,65 +221,29 @@ func BenchmarkAblationWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkBestFirstExpand compares a sweep with serial versus pooled
-// candidate execution inside each expansion. Grid parallelism is pinned to
-// 1 so the expansion pool is the only variable; the Try memo is off so
-// every candidate actually executes. Coverage must match across the two —
-// the pool changes scheduling, never results.
+// BenchmarkBestFirstExpand measures a sweep's best-first expansions with
+// grid parallelism pinned to 1, so one search's serial candidate execution
+// is the only work in flight. The sub-benchmark keeps its "serial" name so
+// BENCH_sweep.json stays comparable with recordings that also had a pooled
+// case.
 func BenchmarkBestFirstExpand(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			r := eval.NewRunner(loadCorpus(b), 2025)
-			r.Parallelism = 1
-			r.SearchParallelism = bc.par
-			ths := slice(r, 20)
-			for i := 0; i < b.N; i++ {
-				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-		})
-	}
-}
-
-// BenchmarkTryCache measures the cross-search Try memo on repeated sweeps:
-// "off" pays full tactic execution every iteration, "on" resolves repeat
-// candidates from the shared cache (the runner, and so the cache, persists
-// across iterations — the steady state of a grid sweeping many
-// model/setting cells over the same theorems).
-func BenchmarkTryCache(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		cache bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			r := eval.NewRunner(loadCorpus(b), 2025)
-			r.Parallelism = 4
-			r.TryCache = bc.cache
-			ths := slice(r, 20)
-			for i := 0; i < b.N; i++ {
-				outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
-				b.ReportMetric(coveragePct(outs), "cov-%")
-			}
-			if bc.cache {
-				hits, misses, _, _ := r.TryCacheStats()
-				if hits+misses > 0 {
-					b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit-%")
-				}
-			}
-		})
-	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		r := eval.NewRunner(loadCorpus(b), 2025)
+		r.Parallelism = 1
+		ths := slice(r, 20)
+		for i := 0; i < b.N; i++ {
+			outs := r.RunSweep(model.GPT4o, prompt.Hint, ths)
+			b.ReportMetric(coveragePct(outs), "cov-%")
+		}
+	})
 }
 
 // BenchmarkWarmSweep measures the persistent proof cache end to end:
 // "cold" sweeps into an empty store (paying the search plus the
 // write-behind appends), "warm" re-sweeps a primed store with a fresh
-// runner per iteration, so every outcome answers from disk and the Try
-// records pre-warm the in-memory cache. Warm reports the outcome hit rate;
+// runner per iteration, so every outcome answers from disk. Warm reports
+// the outcome hit rate;
 // coverage must match cold — the store changes latency, never tables.
 func BenchmarkWarmSweep(b *testing.B) {
 	files, err := corpus.Sources()
@@ -342,7 +300,6 @@ func BenchmarkWarmSweep(b *testing.B) {
 		if h, m := last.OutcomeHits, last.OutcomeMisses; h+m > 0 {
 			b.ReportMetric(100*float64(h)/float64(h+m), "hit-%")
 		}
-		b.ReportMetric(float64(last.TryWarmed), "try-warmed")
 	})
 }
 
@@ -514,43 +471,34 @@ func BenchmarkRestrictEnv(b *testing.B) {
 }
 
 // BenchmarkInternTerm measures node construction through the hash-consing
-// arena against plain allocation, on a term mix shaped like search traffic
-// (shallow applications over a small name pool, so the arena hit rate is
-// high — the interned leg reports it via kernel.InternStats).
+// arena on a term mix shaped like search traffic (shallow applications over
+// a small name pool, so the arena hit rate is high; reported via
+// kernel.InternStats). The sub-benchmark keeps its "interned" name so
+// BENCH_sweep.json stays comparable with recordings that also had a plain
+// case.
 func BenchmarkInternTerm(b *testing.B) {
-	build := func() {
-		for i := 0; i < 64; i++ {
-			n := kernel.V("n")
-			t := kernel.A("plus", n, kernel.A("S", kernel.A("O")))
-			_ = kernel.A("mult", t, kernel.A("S", n))
-			_ = kernel.Eq(t, kernel.A("plus", kernel.A("S", kernel.A("O")), n))
+	b.Run("interned", func(b *testing.B) {
+		b.ReportAllocs()
+		h0, m0 := kernel.InternStats()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 64; j++ {
+				n := kernel.V("n")
+				t := kernel.A("plus", n, kernel.A("S", kernel.A("O")))
+				_ = kernel.A("mult", t, kernel.A("S", n))
+				_ = kernel.Eq(t, kernel.A("plus", kernel.A("S", kernel.A("O")), n))
+			}
 		}
-	}
-	for _, bc := range []struct {
-		name string
-		on   bool
-	}{{"plain", false}, {"interned", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			kernel.SetInterning(bc.on)
-			defer kernel.SetInterning(true)
-			h0, m0 := kernel.InternStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				build()
-			}
-			b.StopTimer()
-			if h1, m1 := kernel.InternStats(); bc.on && h1-h0+m1-m0 > 0 {
-				b.ReportMetric(100*float64(h1-h0)/float64(h1-h0+m1-m0), "intern-hit-%")
-			}
-		})
-	}
+		b.StopTimer()
+		if h1, m1 := kernel.InternStats(); h1-h0+m1-m0 > 0 {
+			b.ReportMetric(100*float64(h1-h0)/float64(h1-h0+m1-m0), "intern-hit-%")
+		}
+	})
 }
 
 // BenchmarkFingerprintKey measures the 128-bit state key (what the search
-// seen-set and Try memo hash on) against rendering the textual fingerprint,
-// on the same one-intros-deep states as BenchmarkFingerprint. Fresh states
-// each iteration, so the per-state memo never amortizes the walk away.
+// seen-set hashes on) against rendering the textual fingerprint, on the
+// same one-intros-deep states as BenchmarkFingerprint. Fresh states each
+// iteration, so the per-state memo never amortizes the walk away.
 func BenchmarkFingerprintKey(b *testing.B) {
 	b.ReportAllocs()
 	c := loadCorpus(b)

@@ -45,15 +45,10 @@ func main() {
 		seed             = flag.Int64("seed", 2025, "experiment seed")
 		queryLimit       = flag.Int("fuel", 128, "model query limit")
 		width            = flag.Int("width", 8, "search width")
-		par              = flag.Int("par", runtime.NumCPU(), "parallel searches (alias of -parallelism)")
-		parallelism      = flag.Int("parallelism", 0, "bound on concurrent searches across the whole grid (overrides -par; 0 = use -par)")
-		searchPar        = flag.Int("search-parallelism", 1, "concurrent candidate executions within one expansion (1 = serial; tables are identical at every setting)")
-		tryCache         = flag.Bool("try-cache", false, "share a cross-search Try memoization cache across the grid (tables are identical either way)")
-		proofCache       = flag.String("proof-cache", "", "directory of the persistent proof/Try result store: warm re-runs at the same corpus/seed/hyperparameters skip whole searches (tables are byte-identical warm or cold)")
+		parallelism      = flag.Int("parallelism", 0, "bound on concurrent searches across the whole grid (0 = one per CPU)")
+		proofCache       = flag.String("proof-cache", "", "directory of the persistent proof-outcome store: warm re-runs at the same corpus/seed/hyperparameters skip whole searches (tables are byte-identical warm or cold)")
 		proofCacheRO     = flag.Bool("proof-cache-readonly", false, "serve warm results from -proof-cache but record nothing")
 		proofCacheMirror = flag.Int("proof-cache-mirror", 16, "cross-check roughly one in N warm proof-cache hits against a live recomputation (0 disables; any mismatch aborts the run)")
-		intern           = flag.Bool("intern", true, "hash-cons kernel terms and formulas in a shared arena (tables are identical either way; off disables only the pointer dedup)")
-		searchArena      = flag.Bool("search-arena", true, "recycle tactic-interpreter buffers in per-search scratch arenas (tables are identical either way; off restores per-call allocation)")
 		cpuprofile       = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile       = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 		paperSamp        = flag.Bool("paper-sampling", false, "evaluate large models on a 10% subsample, as the paper does for budget reasons")
@@ -75,6 +70,9 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := validateFlags(options{
+		fuel:             *queryLimit,
+		width:            *width,
+		parallelism:      *parallelism,
 		backend:          *backend,
 		faults:           *faults,
 		faultSeed:        *faultSeed,
@@ -89,7 +87,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	kernel.SetInterning(*intern)
 	if !(*fig1a || *fig1b || *table1 || *table2 || *fig2 || *probe || *whole || *ablate) {
 		*all = true
 	}
@@ -134,13 +131,10 @@ func main() {
 	r := eval.NewRunner(c, *seed)
 	r.QueryLimit = *queryLimit
 	r.Width = *width
-	r.Parallelism = *par
-	if *parallelism > 0 {
-		r.Parallelism = *parallelism
+	r.Parallelism = *parallelism
+	if r.Parallelism == 0 {
+		r.Parallelism = runtime.NumCPU()
 	}
-	r.SearchParallelism = *searchPar
-	r.TryCache = *tryCache
-	r.NoScratchArena = !*searchArena
 	var pc *store.Cache
 	if *proofCache != "" {
 		files, err := corpus.Sources()
@@ -167,9 +161,8 @@ func main() {
 	}
 	defer finishBackend()
 	defer func() {
-		// One structured cache-stats line covers both tiers (in-memory
-		// TryCache and persistent store); bench.sh scrapes it by the
-		// "cache-stats" event tag.
+		// One structured cache-stats line reports the persistent store;
+		// bench.sh scrapes it by the "cache-stats" event tag.
 		r.FlushProofStore()
 		if line := r.CacheStatsJSON(); line != "" {
 			fmt.Fprintln(os.Stderr, line)
@@ -245,22 +238,33 @@ func main() {
 	}
 }
 
-// options holds the flags whose combinations validateFlags checks.
+// options holds the flags whose values and combinations validateFlags
+// checks.
 type options struct {
-	backend, faults         string
-	faultSeed               int64
-	workers                 int
-	workerAddrs, proofCache string
-	proofCacheRO            bool
-	proofCacheMirror        int
-	mirrorSet               bool // -proof-cache-mirror given on the command line
-	wireBatchSet            bool // -wire-batch given on the command line
+	fuel, width, parallelism int
+	backend, faults          string
+	faultSeed                int64
+	workers                  int
+	workerAddrs, proofCache  string
+	proofCacheRO             bool
+	proofCacheMirror         int
+	mirrorSet                bool // -proof-cache-mirror given on the command line
+	wireBatchSet             bool // -wire-batch given on the command line
 }
 
 // validateFlags rejects flag combinations that cannot work or that would
 // be silently ignored, before any work starts.
 func validateFlags(o options) error {
 	fleet := o.workers > 0 || o.workerAddrs != ""
+	if o.fuel < 1 {
+		return fmt.Errorf("-fuel must be >= 1, got %d", o.fuel)
+	}
+	if o.width < 1 {
+		return fmt.Errorf("-width must be >= 1, got %d", o.width)
+	}
+	if o.parallelism < 0 {
+		return fmt.Errorf("-parallelism must be >= 0 (0 = one per CPU), got %d", o.parallelism)
+	}
 	switch o.backend {
 	case "inprocess", "remote":
 	default:
@@ -397,8 +401,8 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 	}
 
 	// Split the run's parallelism budget across the fleet, one goroutine
-	// per worker slot, so -workers 4 -par 8 does the same total work in
-	// flight as the single-process run.
+	// per worker slot, so -workers 4 -parallelism 8 does the same total
+	// work in flight as the single-process run.
 	slots := r.Parallelism / len(addrs)
 	if slots < 1 {
 		slots = 1

@@ -1,18 +1,39 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
 
+// TestMain doubles as the command itself when the test binary is invoked
+// as `<test binary> experiments [flags]`, so TestRejectedFlagsExit2 can
+// drive real flag parsing in a child process.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "experiments" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
 func TestValidateFlags(t *testing.T) {
-	ok := options{backend: "inprocess", faultSeed: 1, proofCacheMirror: 16}
+	ok := options{fuel: 128, width: 8, backend: "inprocess", faultSeed: 1, proofCacheMirror: 16}
 	for _, tc := range []struct {
 		name string
 		edit func(*options)
 		want string // substring of the error; "" = valid
 	}{
 		{"defaults", func(*options) {}, ""},
+		{"minimal budget", func(o *options) { o.fuel, o.width, o.parallelism = 1, 1, 1 }, ""},
+		{"zero fuel", func(o *options) { o.fuel = 0 }, "-fuel must be"},
+		{"negative fuel", func(o *options) { o.fuel = -5 }, "-fuel must be"},
+		{"zero width", func(o *options) { o.width = 0 }, "-width must be"},
+		{"negative width", func(o *options) { o.width = -1 }, "-width must be"},
+		{"negative parallelism", func(o *options) { o.parallelism = -3 }, "-parallelism must be"},
 		{"remote backend", func(o *options) { o.backend = "remote" }, ""},
 		{"unknown backend", func(o *options) { o.backend = "serapi" }, "unknown -backend"},
 		{"remote with faults", func(o *options) { o.backend, o.faults = "remote", "drop-conn=0.1" }, ""},
@@ -44,6 +65,43 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("want error containing %q, got nil", tc.want)
 			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// TestRejectedFlagsExit2 runs the command with flags it must refuse: the
+// execution-mode switches that no longer exist, and out-of-range budgets.
+// Each must exit 2 with its complaint on stderr, before any work starts
+// (nothing reaches stdout).
+func TestRejectedFlagsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-try-cache"}, "flag provided but not defined: -try-cache"},
+		{[]string{"-search-parallelism", "2"}, "flag provided but not defined: -search-parallelism"},
+		{[]string{"-intern=false"}, "flag provided but not defined: -intern"},
+		{[]string{"-search-arena=false"}, "flag provided but not defined: -search-arena"},
+		{[]string{"-par", "4"}, "flag provided but not defined: -par"},
+		{[]string{"-fuel", "0"}, "-fuel must be >= 1"},
+		{[]string{"-width", "0"}, "-width must be >= 1"},
+		{[]string{"-parallelism", "-3"}, "-parallelism must be >= 0"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append([]string{"experiments", "-fig1a"}, tc.args...)...)
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit = %v; want status 2 (stderr: %s)", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("stderr %q does not contain %q", stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("work started before the rejection: stdout %q", stdout.String())
 			}
 		})
 	}

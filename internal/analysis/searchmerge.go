@@ -8,8 +8,9 @@ import (
 // searchCounterFields mirrors the counter fields of core.Result (and the
 // per-expansion tallies feeding them). The search engine's determinism
 // story requires that these are mutated only in the single-threaded merge
-// phase — workers write disjoint result slots and nothing else — so the
-// counts come out identical at every parallelism setting. Kept as a
+// phase — anything executing candidates off the search goroutine may write
+// disjoint result slots and nothing else — so the counts come out identical
+// under every execution strategy. Kept as a
 // literal copy so this package stays free of a core dependency; a test in
 // internal/core asserts the field set matches core.Result.
 var searchCounterFields = map[string]bool{
@@ -27,7 +28,7 @@ var analyzerSearchMerge = &Analyzer{
 		"single-threaded merge loop, never inside a spawned goroutine, and the " +
 		"package must not import sync/atomic at all — atomics on the counters " +
 		"would make totals scheduling-independent but lose the per-candidate " +
-		"attribution that keeps serial and parallel tables byte-identical",
+		"attribution that keeps every execution strategy's tables byte-identical",
 	Go: runSearchMerge,
 }
 

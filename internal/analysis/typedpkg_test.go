@@ -170,14 +170,14 @@ func indirect() {}
 
 func TestGoDirsSortedAndFiltered(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"go.mod":           fixGomod,
-		"b/b.go":           "package b\n",
-		"a/a.go":           "package a\n",
-		"a/testdata/x.go":  "package x\n",
-		"_skip/s.go":       "package s\n",
-		".hidden/h.go":     "package h\n",
-		"c/notgo.txt":      "text\n",
-		"a/inner/deep.go":  "package inner\n",
+		"go.mod":          fixGomod,
+		"b/b.go":          "package b\n",
+		"a/a.go":          "package a\n",
+		"a/testdata/x.go": "package x\n",
+		"_skip/s.go":      "package s\n",
+		".hidden/h.go":    "package h\n",
+		"c/notgo.txt":     "text\n",
+		"a/inner/deep.go": "package inner\n",
 	})
 	dirs, err := GoDirs(root)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/corpus"
-	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/protocol"
 	"llmfscq/internal/remote"
@@ -68,11 +67,12 @@ func startBatchedBackend(t *testing.T) *remote.Backend {
 }
 
 // TestSearchModeEquivalence is the determinism property test: across
-// randomized proposers, theorems, widths, and algorithms, the parallel,
-// Try-memoized, and remote-batched execution strategies must produce
-// Result structs identical to the serial in-process baseline. Run under
-// -race this also exercises the expansion pool and cache sharding for
-// data races.
+// randomized proposers, theorems, widths, and algorithms, the remote
+// execution strategies (one batched backend, and a 4-member fleet) must
+// produce Result structs identical to the serial in-process baseline,
+// which runs with the search's scratch arena. The remote documents do not
+// take a scratch, so they also cover the plain Try path. Run under -race
+// this also exercises the wire clients for data races.
 func TestSearchModeEquivalence(t *testing.T) {
 	env, c := loadEnv(t)
 	be := startBatchedBackend(t)
@@ -87,11 +87,6 @@ func TestSearchModeEquivalence(t *testing.T) {
 		fleet[i] = startBatchedBackend(t)
 	}
 	caseIdx := 0
-
-	// One cache shared across every case and both cached modes: later
-	// cases hit entries warmed by earlier ones, so the equivalence
-	// assertion also covers warm-cache reuse across searches.
-	shared := NewTryCache()
 
 	theorems := []string{"plus_O_n", "plus_comm", "app_nil_r", "andb_comm", "negb_involutive", "plus_n_O"}
 	algos := []struct {
@@ -122,35 +117,16 @@ func TestSearchModeEquivalence(t *testing.T) {
 				member := fleet[caseIdx%len(fleet)]
 				caseIdx++
 				modes := []struct {
-					name      string
-					internOff bool
-					mut       func(*Config)
+					name string
+					mut  func(*Config)
 				}{
-					{"parallel", false, func(c *Config) { c.Parallelism = 4 }},
-					{"cached", false, func(c *Config) { c.Cache = shared }},
-					{"parallel+cached", false, func(c *Config) { c.Parallelism = 2; c.Cache = shared }},
-					{"remote-batched", false, func(c *Config) { c.Backend = be }},
-					{"distributed(N=4)", false, func(c *Config) { c.Parallelism = 2; c.Backend = member }},
-					// Interning only changes pointer coincidences, never results:
-					// the cached leg stays shared so intern-off searches must also
-					// reuse (and produce) the same 128-bit-keyed entries.
-					{"intern-off", true, func(c *Config) { c.Parallelism = 2; c.Cache = shared }},
-					// The scratch arenas recycle buffers, never results: the
-					// serial leg checks the lazy step() path without scratch,
-					// the parallel leg the per-worker scratches' absence.
-					{"arena-off", false, func(c *Config) { c.NoScratchArena = true }},
-					{"arena-off-parallel", false, func(c *Config) { c.NoScratchArena = true; c.Parallelism = 4 }},
+					{"remote-batched", func(c *Config) { c.Backend = be }},
+					{"distributed(N=4)", func(c *Config) { c.Backend = member }},
 				}
 				for _, m := range modes {
 					cfg := base
 					m.mut(&cfg)
-					if m.internOff {
-						kernel.SetInterning(false)
-					}
 					got := alg.search(cfg)
-					if m.internOff {
-						kernel.SetInterning(true)
-					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("seed=%d %s/%s/%s diverged:\n got %+v\nwant %+v",
 							seed, name, alg.name, m.name, got, want)
@@ -158,9 +134,6 @@ func TestSearchModeEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-	if hits, misses, _, _ := shared.Stats(); hits == 0 || misses == 0 {
-		t.Fatalf("cache never exercised both paths: hits=%d misses=%d", hits, misses)
 	}
 	// The remote legs mask wire trouble by design; the equivalence above is
 	// vacuous for them unless batched cross-checks actually happened.

@@ -60,25 +60,12 @@ type Runner struct {
 	// Backends mask their own failures, so result tables are identical
 	// across backends; see internal/remote.
 	Backend checker.Backend
-	// SearchParallelism bounds concurrent candidate executions inside one
-	// expansion (<=1: serial). Outcomes merge in candidate order, so every
-	// setting produces identical results; see core.Config.Parallelism.
-	SearchParallelism int
-	// TryCache shares one cross-search Try memoization cache (env identity
-	// + parent state + sentence → outcome) across the grid, the way the
-	// prompt item cache is shared. Results are identical either way; only
-	// redundant tactic executions disappear.
-	TryCache bool
-	// NoScratchArena disables the per-search scratch arenas (the
-	// -search-arena=false parity mode); see core.Config.NoScratchArena.
-	NoScratchArena bool
-	// ProofStore, when non-nil, persists per-theorem search outcomes and
-	// negative Try results across processes (internal/store): a warm
-	// re-sweep at the same corpus/seed/hyperparameters skips whole searches
-	// and pre-warms the TryCache. Results are byte-identical warm or cold —
-	// stored fields are exactly the search's irreproducible outputs, derived
-	// metrics are recomputed, and a deterministic mirror sample re-executes
-	// live to cross-check.
+	// ProofStore, when non-nil, persists per-theorem search outcomes across
+	// processes (internal/store): a warm re-sweep at the same
+	// corpus/seed/hyperparameters skips whole searches. Results are
+	// byte-identical warm or cold — stored fields are exactly the search's
+	// irreproducible outputs, derived metrics are recomputed, and a
+	// deterministic mirror sample re-executes live to cross-check.
 	ProofStore *store.Cache
 	// SearchName names a custom Search func for the persistent outcome key
 	// ("best-first" is implied when Search is nil). A custom Search with an
@@ -100,22 +87,11 @@ type Runner struct {
 	// mined statistics depend only on which hint proofs are visible, which
 	// the whole grid shares far more often than it differs.
 	ngrams *sync.Map
-	// trymemo holds the TryCache once built, so ablation copies of the
-	// Runner (width/fuel/algorithm changes never affect a memoized Try)
-	// keep sharing one cache.
-	trymemo *tryIndex
 	// retrIdx shares the model's per-lemma retrieval analysis across every
 	// search of the grid (see model.RetrCache).
 	retrIdx *model.RetrCache
-	// persist holds the persistence fingerprints and the env registry for
-	// the end-of-run Try drain (see store.go).
+	// persist holds the persistence fingerprints (see store.go).
 	persist *persistIndex
-}
-
-// tryIndex caches the cross-search Try memo behind a once, like envIndex.
-type tryIndex struct {
-	once  sync.Once
-	cache *core.TryCache
 }
 
 // envIndex caches the restricted environments behind a once so that Runner
@@ -143,42 +119,15 @@ func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 		envs:       &envIndex{},
 		prompts:    &promptIndex{},
 		ngrams:     &sync.Map{},
-		trymemo:    &tryIndex{},
 		retrIdx:    model.NewRetrCache(),
 		persist:    newPersistIndex(),
 	}
 }
 
-// tryCache returns the shared Try memo when enabled (nil otherwise). The
-// cache is sized from grid statistics: a full sweep executes about
-// theorems × settings × QueryLimit × Width candidate tactics, of which
-// roughly a third are first-time misses at the grid's observed ~66% hit
-// rate — the rest are served from the cache and stay resident.
-func (r *Runner) tryCache() *core.TryCache {
-	if !r.TryCache || r.trymemo == nil {
-		return nil
-	}
-	r.trymemo.once.Do(func() {
-		width, limit := r.Width, r.QueryLimit
-		if width <= 0 {
-			width = 8
-		}
-		if limit <= 0 {
-			limit = 128
-		}
-		est := len(r.Corpus.Theorems) * 2 * limit * width * 34 / 100
-		r.trymemo.cache = core.NewTryCacheSized(est)
-	})
-	return r.trymemo.cache
-}
-
-// TryCacheStats reports the shared Try memo's lookup counters, capacity
-// evictions, and size (zeros when the cache is disabled). Stats are for
-// logging only; tables never depend on them.
+// TryCacheStats always returns zeros: there is no cross-search Try cache
+// (DESIGN.md §9). It is kept only so existing readers of these counters
+// keep building.
 func (r *Runner) TryCacheStats() (hits, misses, evicted, entries int64) {
-	if c := r.tryCache(); c != nil {
-		return c.Stats()
-	}
 	return 0, 0, 0, 0
 }
 
@@ -380,7 +329,6 @@ func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *c
 	var warm Outcome
 	warmHit, mirror := false, false
 	if persisted {
-		r.notePersistEnv(env, key.Env)
 		if rec, ok := r.ProofStore.LookupOutcome(key); ok {
 			warm = r.rebuildOutcome(prof, setting.String(), th, rec)
 			warmHit = true
@@ -404,17 +352,10 @@ func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *c
 		Propose: func(st *tactic.State, path []string) []model.Candidate {
 			return mdl.Propose(pr, st, path, ng, rng)
 		},
-		Width:       r.Width,
-		QueryLimit:  r.QueryLimit,
-		Backend:     r.Backend,
-		Lemma:       th.Name,
-		Parallelism: r.SearchParallelism,
-		Cache:       r.tryCache(),
-
-		NoScratchArena: r.NoScratchArena,
-	}
-	if r.ProofStore != nil {
-		cfg.MirrorFrac = r.ProofStore.MirrorDen()
+		Width:      r.Width,
+		QueryLimit: r.QueryLimit,
+		Backend:    r.Backend,
+		Lemma:      th.Name,
 	}
 	search := r.Search
 	if search == nil {

@@ -1,16 +1,19 @@
 package eval
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"llmfscq/internal/checker"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/store"
+	"llmfscq/internal/tactic"
 )
 
 // storeRunner builds a Runner wired to a persistent proof cache over the
@@ -27,7 +30,6 @@ func storeRunner(t *testing.T, dir string, hash [2]uint64, mirrorDen int) (*Runn
 	}
 	r := NewRunner(c, 2025)
 	r.Parallelism = 4
-	r.TryCache = true
 	r.ProofStore = pc
 	return r, pc
 }
@@ -109,19 +111,88 @@ func TestCorpusByteFlipIsFullMiss(t *testing.T) {
 	flipped := hash
 	flipped[0] ^= 1 // what corpus.Hash returns after any one-byte source edit
 	r2, pc2 := storeRunner(t, dir, flipped, 16)
-	if recs := pc2.TryRecords(r2.envFingerprint(r2.TestSet()[0])); len(recs) != 0 {
-		t.Fatalf("foreign-corpus Try records visible: %d", len(recs))
-	}
 	miss := sweepSlice(t, r2)
 	st := finishRun(t, r2, pc2)
 	if st.OutcomeHits != 0 {
 		t.Fatalf("edited corpus still hit %d outcomes", st.OutcomeHits)
 	}
-	if st.TryWarmed != 0 {
-		t.Fatalf("edited corpus still warmed %d Try records", st.TryWarmed)
-	}
 	if !reflect.DeepEqual(cold, miss) {
 		t.Fatal("full-miss sweep should recompute the same outcomes live")
+	}
+}
+
+// Stores written while the proof store still had a Try tier hold raw
+// 'T'-prefixed records (negative tactic verdicts) beside the outcome
+// records. Such a store must stay valid: it opens, serves every outcome,
+// and its Try records count for nothing. The store here is assembled
+// record by record through the raw layer, exactly as those versions laid
+// it out.
+func TestStoreWithTryRecordsStillServes(t *testing.T) {
+	hash := corpusHash(t)
+	coldDir, dir := t.TempDir(), t.TempDir()
+	r1, pc1 := storeRunner(t, coldDir, hash, 0)
+	cold := sweepSlice(t, r1)
+	finishRun(t, r1, pc1)
+
+	src, err := store.Open(store.Options{Dir: coldDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := map[string][]byte{}
+	src.Range(func(key string, val []byte, _ int64) {
+		if len(key) > 0 && key[0] == 'O' {
+			recs[key] = append([]byte(nil), val...)
+		}
+	})
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(cold) {
+		t.Fatalf("cold run persisted %d outcome records for %d searches", len(recs), len(cold))
+	}
+
+	// The Try record layout: 'T' | corpus hash | env fingerprint | parent
+	// state StrictKey | sentence, valued status byte | checker message.
+	th := r1.TestSet()[0]
+	env := r1.RestrictEnv(th)
+	tkey := []byte{'T'}
+	for _, p := range [][2]uint64{hash, r1.envFingerprint(th), tactic.NewState(env, th.Stmt).StrictKey()} {
+		tkey = binary.BigEndian.AppendUint64(tkey, p[0])
+		tkey = binary.BigEndian.AppendUint64(tkey, p[1])
+	}
+	tkey = append(tkey, "discriminate."...)
+	raw, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Put(tkey, append([]byte{byte(checker.Rejected)}, "no discriminable equality"...)); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range recs {
+		if err := raw.Put([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := raw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// MirrorDen 0: every outcome comes from rebuildOutcome, none from a
+	// live search.
+	r2, pc2 := storeRunner(t, dir, hash, 0)
+	warm := sweepSlice(t, r2)
+	st := finishRun(t, r2, pc2)
+	if st.OutcomeHits != int64(len(recs)) || st.OutcomeMisses != 0 {
+		t.Fatalf("outcome hits/misses = %d/%d; want %d/0", st.OutcomeHits, st.OutcomeMisses, len(recs))
+	}
+	if st.TryWarmed != 0 || st.Recorded != 0 || st.MirrorChecks != 0 {
+		t.Fatalf("Try record was not inert: %+v", st)
+	}
+	if st.Store.Entries != len(recs)+1 {
+		t.Fatalf("store holds %d live records; want %d outcomes + 1 Try", st.Store.Entries, len(recs))
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("warm sweep over the legacy store diverged from cold:\ncold %+v\nwarm %+v", cold, warm)
 	}
 }
 

@@ -4,7 +4,7 @@ import "strconv"
 
 // Per-search scratch arena.
 //
-// A Scratch is carried by one search (or one expansion worker) and recycles
+// A Scratch is carried by one search and recycles
 // the transient buffers the substitution/unification inner loop would
 // otherwise allocate per call: child-pointer slices built during
 // copy-on-write walks, and trial substitution maps for speculative
@@ -19,10 +19,10 @@ import "strconv"
 // escape, and the API makes that structural — callers release a buffer only
 // after the constructor consuming it has returned.
 //
-// A Scratch is not safe for concurrent use; parallel expansion gives each
-// worker its own. All methods are nil-receiver safe and fall back to plain
-// allocation, so code threads a *Scratch unconditionally and a nil scratch
-// (the -search-arena=false parity mode) reproduces the untuned behavior.
+// A Scratch is not safe for concurrent use; each search owns its own. All
+// methods are nil-receiver safe and fall back to plain allocation, so code
+// threads a *Scratch unconditionally and callers without one (remote
+// documents, one-off tactic runs) pass nil.
 type Scratch struct {
 	argBufs  [][]*Term
 	substs   []Subst

@@ -51,8 +51,8 @@ type Form struct {
 }
 
 // Constructors for each formula shape (interning; see intern.go).
-func True() *Form         { return finishForm(&Form{Kind: FTrue}, true) }
-func False() *Form        { return finishForm(&Form{Kind: FFalse}, true) }
+func True() *Form  { return finishForm(&Form{Kind: FTrue}, true) }
+func False() *Form { return finishForm(&Form{Kind: FFalse}, true) }
 func Eq(a, b *Term) *Form {
 	return finishForm(&Form{Kind: FEq, T1: a, T2: b}, termInterned(a) && termInterned(b))
 }

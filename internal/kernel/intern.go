@@ -11,43 +11,29 @@ package kernel
 // signature gives substitution its "this subtree cannot be touched" fast
 // path.
 //
-// When interning is enabled (the default), constructors additionally
-// deduplicate: a node whose children are all canonical (interned) is looked
-// up in a sharded arena by hash and shallow pointer comparison, so
-// structurally equal nodes collapse to one pointer and equality becomes
-// pointer comparison. The `interned` flag is set only when interning was on
-// AND every child is interned; by induction two interned, structurally equal
-// nodes are the same pointer, which is what licenses the
-// "both interned and pointers differ ⇒ structurally unequal" fast path in
-// Equal. Nodes built while interning is off (or over raw test literals) are
-// merely not deduplicated — never wrongly identified.
+// Constructors additionally deduplicate: a node whose children are all
+// canonical (interned) is looked up in a sharded arena by hash and shallow
+// pointer comparison, so structurally equal nodes collapse to one pointer
+// and equality becomes pointer comparison. The `interned` flag is set only
+// when every child is interned; by induction two interned, structurally
+// equal nodes are the same pointer, which is what licenses the "both
+// interned and pointers differ ⇒ structurally unequal" fast path in Equal.
+// Nodes built over raw test literals are merely not deduplicated — never
+// wrongly identified.
 //
 // Raw struct literals (kernel tests construct a few) have hash == 0; every
 // fast path guards on hash != 0 and hashing functions fall back to a
 // recursive computation, so mixed raw/constructed trees stay correct.
 //
 // Interning only changes pointer coincidences, which downstream code uses
-// only for copy-on-write identity checks; observable results are identical
-// with interning on or off (SetInterning exists for the -intern parity flag
-// and for the observational-equivalence tests).
+// only for copy-on-write identity checks. Interning is unconditional:
+// construction without the arena measured slower and larger end to end
+// (DESIGN.md §10).
 
 import (
 	"sync"
 	"sync/atomic"
 )
-
-// internOff disables arena deduplication when set. The zero value means
-// interning is ON: package-level vars such as TypeType intern during package
-// initialization, before any flag parsing could run.
-var internOff atomic.Bool
-
-// SetInterning toggles arena deduplication. Hashes and signatures are always
-// computed; only pointer-level sharing is affected, so results are
-// observationally identical either way.
-func SetInterning(on bool) { internOff.Store(!on) }
-
-// Interning reports whether arena deduplication is enabled.
-func Interning() bool { return !internOff.Load() }
 
 var internHits, internMisses atomic.Uint64
 
@@ -492,8 +478,8 @@ var (
 	typeArena [arenaShards]typeShard
 )
 
-func termInterned(t *Term) bool { return t == nil || t.interned }
-func formInterned(f *Form) bool { return f == nil || f.interned }
+func termInterned(t *Term) bool  { return t == nil || t.interned }
+func formInterned(f *Form) bool  { return f == nil || f.interned }
 func typeInterned(ty *Type) bool { return ty == nil || ty.interned }
 
 // sameTermShallow compares two hashed nodes by children POINTER equality.
@@ -559,7 +545,7 @@ func sameTypeShallow(a, b *Type) bool {
 // Args are copied into storage the node owns, so the caller's slices are
 // never retained.
 func internTerm(t *Term, kids bool) *Term {
-	if !kids || internOff.Load() {
+	if !kids {
 		return newTransientTerm(t)
 	}
 	sh := &termArena[t.hash&(arenaShards-1)]
@@ -597,7 +583,7 @@ func newTransientTerm(t *Term) *Term {
 }
 
 func internForm(f *Form, kids bool) *Form {
-	if !kids || internOff.Load() {
+	if !kids {
 		return newTransientForm(f)
 	}
 	sh := &formArena[f.hash&(arenaShards-1)]
@@ -633,7 +619,7 @@ func newTransientForm(f *Form) *Form {
 }
 
 func internType(ty *Type, kids bool) *Type {
-	if !kids || internOff.Load() {
+	if !kids {
 		return newTransientType(ty)
 	}
 	sh := &typeArena[ty.hash&(arenaShards-1)]
@@ -695,7 +681,7 @@ func mkApp(fun string, args []*Term) *Term {
 // slice built at an A(...) call site (and scratch buffers handed to mkApp)
 // provably never escape — the compiler stack-allocates them.
 func internApp(fun string, args []*Term, h, h2, sig uint64, kids bool) *Term {
-	if !kids || internOff.Load() {
+	if !kids {
 		n := &Term{Fun: fun, hash: h, hash2: h2, varSig: sig}
 		if len(args) > 0 {
 			n.Args = append([]*Term(nil), args...)
@@ -778,7 +764,7 @@ func mkPred(name string, args []*Term) *Form {
 // internPred is internForm specialized to predicate atoms, mirroring
 // internApp: the argument slice never escapes.
 func internPred(name string, args []*Term, h, h2, sig uint64, kids bool) *Form {
-	if !kids || internOff.Load() {
+	if !kids {
 		n := &Form{Kind: FPred, Pred: name, hash: h, hash2: h2, varSig: sig}
 		if len(args) > 0 {
 			n.Args = append([]*Term(nil), args...)

@@ -59,19 +59,61 @@ func internGenForm(rng *rand.Rand, depth int) *Form {
 	}
 }
 
-// TestInternObservationalEquivalence is the central parity property: the
-// same random construction with interning on and off must agree on every
-// observable — rendering, textual fingerprints, fingerprint keys, equality,
-// and unification — because interning only changes pointer coincidences.
-func TestInternObservationalEquivalence(t *testing.T) {
-	defer SetInterning(true)
-	for seed := int64(0); seed < 40; seed++ {
-		SetInterning(true)
-		fOn := internGenForm(rand.New(rand.NewSource(seed)), 4)
-		SetInterning(false)
-		fOff := internGenForm(rand.New(rand.NewSource(seed)), 4)
-		SetInterning(true)
+// rawTerm deep-copies t into raw struct literals (hash == 0, never
+// interned): the shape kernel test fixtures build by hand.
+func rawTerm(t *Term) *Term {
+	if t == nil {
+		return nil
+	}
+	out := &Term{Var: t.Var, Fun: t.Fun}
+	for _, a := range t.Args {
+		out.Args = append(out.Args, rawTerm(a))
+	}
+	if t.Match != nil {
+		m := &MatchExpr{Scrut: rawTerm(t.Match.Scrut)}
+		for _, c := range t.Match.Cases {
+			m.Cases = append(m.Cases, MatchCase{Pat: rawTerm(c.Pat), RHS: rawTerm(c.RHS)})
+		}
+		out.Match = m
+	}
+	return out
+}
 
+func rawType(ty *Type) *Type {
+	if ty == nil {
+		return nil
+	}
+	out := &Type{Name: ty.Name, TVar: ty.TVar}
+	for _, a := range ty.Args {
+		out.Args = append(out.Args, rawType(a))
+	}
+	return out
+}
+
+func rawForm(f *Form) *Form {
+	if f == nil {
+		return nil
+	}
+	out := &Form{Kind: f.Kind, T1: rawTerm(f.T1), T2: rawTerm(f.T2), Pred: f.Pred,
+		L: rawForm(f.L), R: rawForm(f.R), Binder: f.Binder, BType: rawType(f.BType), Body: rawForm(f.Body)}
+	for _, a := range f.Args {
+		out.Args = append(out.Args, rawTerm(a))
+	}
+	return out
+}
+
+// TestInternObservationalEquivalence is the central parity property: an
+// interned construction and a raw-literal copy of it (the hash == 0
+// sentinel path, never deduplicated) must agree on every observable —
+// rendering, textual fingerprints, fingerprint keys, equality, and
+// unification — because interning only changes pointer coincidences.
+func TestInternObservationalEquivalence(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		fOn := internGenForm(rand.New(rand.NewSource(seed)), 4)
+		fOff := rawForm(fOn)
+		if fOff == fOn || fOff.hash != 0 {
+			t.Fatalf("seed %d: raw copy is not a raw literal", seed)
+		}
 		if !fOn.Equal(fOff) || !fOff.Equal(fOn) {
 			t.Fatalf("seed %d: interned and plain construction not Equal", seed)
 		}
@@ -97,7 +139,7 @@ func TestInternObservationalEquivalence(t *testing.T) {
 	}
 }
 
-// TestInternDedup: with interning on, structurally equal constructions
+// TestInternDedup: structurally equal constructions
 // collapse to one pointer; equality is pointer comparison.
 func TestInternDedup(t *testing.T) {
 	a := A("plus", V("n"), A("S", A("O")))
@@ -173,7 +215,7 @@ func TestFingerprintKeyMatchesTextual(t *testing.T) {
 func TestFingerprintKeySeeded(t *testing.T) {
 	cases := []*Form{
 		Pred("le", V("n"), V("m")),
-		Forall("n", Ty("nat"), Pred("le", V("n"), V("m"))),  // binder shadows a renamed free var
+		Forall("n", Ty("nat"), Pred("le", V("n"), V("m"))),   // binder shadows a renamed free var
 		Forall("v0", Ty("nat"), Pred("le", V("v0"), V("n"))), // binder equals a replacement name
 		Impl(Eq(V("n"), A("O")), Exists("k", Ty("nat"), Eq(V("m"), V("k")))),
 	}

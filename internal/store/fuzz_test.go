@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -101,6 +102,60 @@ func FuzzSegment(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
+		}
+	})
+}
+
+// FuzzOutcomeRec drives the outcome-record codec from both ends. Any
+// (status, queries, proof) either round-trips exactly through RecordOutcome
+// → Flush → LookupOutcome or — for a query count its 32-bit field cannot
+// hold — is dropped and counted, never stored wrapped. Arbitrary bytes
+// stored under an outcome key never panic the decoder: shorter than the
+// 5-byte header they miss, otherwise they decode to the fields they spell,
+// and re-recording the decoded record writes the same bytes back.
+func FuzzOutcomeRec(f *testing.F) {
+	f.Add(uint8(0), int64(17), "intros.\nauto.", []byte{0, 0, 0, 0, 17, 'a'})
+	f.Add(uint8(2), int64(128), "", []byte{})
+	f.Add(uint8(255), int64(math.MaxUint32), "x", []byte{1, 2, 3, 4})
+	f.Add(uint8(1), int64(-1), "\x00\xff", []byte{9, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(1), int64(math.MaxUint32)+1, "", []byte{0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, status uint8, queries int64, proof string, raw []byte) {
+		c := openCacheT(t, CacheConfig{Dir: t.TempDir(), CorpusHash: testCorpus})
+		defer closeCacheT(t, c)
+		k := testOutcomeKey()
+		rec := OutcomeRec{Status: status, Queries: int(queries), Proof: proof}
+		c.RecordOutcome(k, rec)
+		c.Flush()
+		got, ok := c.LookupOutcome(k)
+		if queries < 0 || queries > math.MaxUint32 {
+			if ok || c.Stats().Dropped != 1 {
+				t.Fatalf("out-of-range queries %d: lookup %+v %v, dropped %d; want a counted drop", queries, got, ok, c.Stats().Dropped)
+			}
+		} else if !ok || got != rec {
+			t.Fatalf("round trip of %+v gave %+v %v", rec, got, ok)
+		}
+
+		k.Variant = "raw"
+		key := c.outcomeKeyBytes(k)
+		if err := c.st.Put(key, raw); err != nil {
+			t.Fatal(err)
+		}
+		got, ok = c.LookupOutcome(k)
+		if len(raw) < 5 {
+			if ok {
+				t.Fatalf("%d-byte value decoded as %+v", len(raw), got)
+			}
+			return
+		}
+		want := OutcomeRec{Status: raw[0], Queries: int(binary.BigEndian.Uint32(raw[1:])), Proof: string(raw[5:])}
+		if !ok || got != want {
+			t.Fatalf("value %x decoded as %+v %v; want %+v", raw, got, ok, want)
+		}
+		k.Variant = "re-recorded"
+		c.RecordOutcome(k, got)
+		c.Flush()
+		if back, ok := c.st.Get(c.outcomeKeyBytes(k)); !ok || string(back) != string(raw) {
+			t.Fatalf("re-recording %+v wrote %x; want %x", got, back, raw)
 		}
 	})
 }

@@ -64,10 +64,9 @@ type Goal struct {
 	Concl *kernel.Form
 
 	// Lazily memoized identities. Goals are shared between the states of
-	// one search, between parallel expansion workers, and (through the
-	// cross-search Try cache) between concurrent searches, so every memo is
-	// atomic and fills from whichever goroutine computes it first; a racing
-	// duplicate computation is benign — both store the same value.
+	// a search, and nothing confines a state to one goroutine, so every
+	// memo is atomic and fills from whichever goroutine computes it first; a
+	// racing duplicate computation is benign — both store the same value.
 	// Constructors and Clone leave them empty so in-place edits on fresh
 	// copies cannot see a stale value.
 	fp        atomic.Pointer[string]    // textual Fingerprint (boundary/display)
@@ -224,8 +223,7 @@ func (g *Goal) String() string {
 // variable and hypothesis names (for duplicate-state pruning), StrictString
 // keeps them: tactics observe concrete names, so caches keyed on proof
 // states must use this identity. Goals are shared unchanged between a
-// state and its successors — and, through the cross-search Try cache,
-// between searches — so each distinct goal renders once per run.
+// state and its successors, so each distinct goal renders once per search.
 func (g *Goal) StrictString() string {
 	if p := g.strict.Load(); p != nil {
 		return *p
