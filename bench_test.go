@@ -304,9 +304,8 @@ func BenchmarkWarmSweep(b *testing.B) {
 }
 
 // BenchmarkRemoteExpand measures one eight-candidate expansion against a
-// loopback checkerd: "lockstep" pays one round trip per sentence, "batched"
-// sends the whole expansion as a single ExecBatch. Both paths mirror
-// locally and cross-check every answer.
+// loopback checkerd, sent as a single ExecBatch: the document mirrors every
+// sentence locally and cross-checks every answer.
 func BenchmarkRemoteExpand(b *testing.B) {
 	c := loadCorpus(b)
 	srv := protocol.NewServer(c.Env)
@@ -321,39 +320,27 @@ func BenchmarkRemoteExpand(b *testing.B) {
 		"intros.", "simpl.", "induction l.", "reflexivity.",
 		"symmetry.", "auto.", "rewrite nope.", "intros. simpl.",
 	}
-	for _, bc := range []struct {
-		name  string
-		batch bool
-	}{{"lockstep", false}, {"batched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			be := remote.New(addr, remote.DefaultPolicy())
-			be.Batch = bc.batch
-			doc, err := be.NewDoc(c.Env, lem.Stmt, "app_nil_r")
-			if err != nil {
-				b.Fatal(err)
+	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
+		be := remote.New(addr, remote.DefaultPolicy())
+		doc, err := be.NewDoc(c.Env, lem.Stmt, "app_nil_r")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer doc.Close()
+		root := doc.Root()
+		bd := doc.(checker.BatchDoc)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if steps := bd.TryBatch(root, nil, sentences); len(steps) != len(sentences) {
+				b.Fatal("short batch")
 			}
-			defer doc.Close()
-			root := doc.Root()
-			bd, _ := doc.(checker.BatchDoc)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if bd != nil {
-					if steps := bd.TryBatch(root, nil, sentences); len(steps) != len(sentences) {
-						b.Fatal("short batch")
-					}
-				} else {
-					for _, s := range sentences {
-						doc.Try(root, nil, s)
-					}
-				}
-			}
-			b.StopTimer()
-			if be.Stats.WireChecks.Load() == 0 || be.Stats.Mismatches.Load() != 0 {
-				b.Fatalf("wire unhealthy: %s", be.Stats.Snapshot())
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		if be.Stats.WireChecks.Load() == 0 || be.Stats.Mismatches.Load() != 0 {
+			b.Fatalf("wire unhealthy: %s", be.Stats.Snapshot())
+		}
+	})
 }
 
 // BenchmarkProofCheck measures the raw proof-checking throughput of the
@@ -627,7 +614,7 @@ func BenchmarkDistributedSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer fleet.Close()
-		workers := fleet.Workers(sweep.WorkerOptions{Policy: remote.DefaultPolicy(), Batch: true, Slots: 1})
+		workers := fleet.Workers(sweep.WorkerOptions{Policy: remote.DefaultPolicy(), Slots: 1})
 		defer sweep.CloseWorkers(workers) //nolint:errcheck
 		co := sweep.New(r, workers)
 		b.ResetTimer()

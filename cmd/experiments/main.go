@@ -59,8 +59,7 @@ func main() {
 		checkerd    = flag.String("checkerd", "", "checkerd address for -backend=remote (empty: spawn an in-process server on a loopback port)")
 		faults      = flag.String("faults", "", "fault-injection schedule for -backend=remote, e.g. \"drop-conn=0.05,stall=0.02\" (sites: "+faultSites()+")")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
-		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote (the paper's per-tactic budget); injected stalls block for twice this")
-		wireBatch   = flag.Bool("wire-batch", true, "cross-check remote expansions with batched ExecBatch round trips instead of lockstep Exec (-backend=remote; a fleet ships whole units instead)")
+		wireTimeout = flag.Duration("wire-timeout", 5*time.Second, "per-request deadline for -backend=remote or a worker fleet (the paper's per-tactic budget); injected stalls block for twice this")
 
 		workers     = flag.Int("workers", 0, "distributed sweep: spawn this many in-process checkerd workers and shard the grid across them (0 = off; tables are byte-identical at every fleet size)")
 		workerAddrs = flag.String("worker-addrs", "", "distributed sweep: comma-separated checkerd addresses to shard the grid across (overrides -workers)")
@@ -82,7 +81,10 @@ func main() {
 		proofCacheRO:     *proofCacheRO,
 		proofCacheMirror: *proofCacheMirror,
 		mirrorSet:        set["proof-cache-mirror"],
-		wireBatchSet:     set["wire-batch"],
+		checkerd:         *checkerd,
+		wireTimeout:      *wireTimeout,
+		wireTimeoutSet:   set["wire-timeout"],
+		stragglerSet:     set["straggler"],
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -157,7 +159,7 @@ func main() {
 	if *workers > 0 || *workerAddrs != "" {
 		runGrid, finishBackend = setupDistributed(r, *workers, *workerAddrs, *straggler, *faults, *faultSeed, *wireTimeout)
 	} else {
-		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout, *wireBatch)
+		finishBackend = setupBackend(r, *backend, *checkerd, *faults, *faultSeed, *wireTimeout)
 	}
 	defer finishBackend()
 	defer func() {
@@ -174,6 +176,9 @@ func main() {
 		}
 		if n := r.ProofStoreMismatches(); n > 0 {
 			log.Fatalf("proof-cache: %d mirror mismatches — persisted results disagree with live recomputation", n)
+		}
+		if n := r.ReplayFailures(); n > 0 {
+			log.Fatalf("eval: %d records failed kernel replay — a counted proof did not re-check", n)
 		}
 		if hits, misses := kernel.InternStats(); hits+misses > 0 {
 			fmt.Fprintf(os.Stderr, "intern: hits=%d misses=%d (%.1f%% hit rate)\n",
@@ -249,7 +254,10 @@ type options struct {
 	proofCacheRO             bool
 	proofCacheMirror         int
 	mirrorSet                bool // -proof-cache-mirror given on the command line
-	wireBatchSet             bool // -wire-batch given on the command line
+	checkerd                 string
+	wireTimeout              time.Duration
+	wireTimeoutSet           bool // -wire-timeout given on the command line
+	stragglerSet             bool // -straggler given on the command line
 }
 
 // validateFlags rejects flag combinations that cannot work or that would
@@ -276,8 +284,17 @@ func validateFlags(o options) error {
 	if fleet && o.backend == "remote" {
 		return errors.New("-workers/-worker-addrs and -backend=remote are mutually exclusive (a fleet IS remote backends)")
 	}
-	if fleet && o.wireBatchSet {
-		return errors.New("-wire-batch has no effect with -workers/-worker-addrs (the fleet ships whole units, not per-tactic wire documents)")
+	if o.checkerd != "" && o.backend != "remote" {
+		return errors.New("-checkerd has no effect without -backend=remote")
+	}
+	if o.wireTimeout <= 0 {
+		return fmt.Errorf("-wire-timeout must be > 0, got %v", o.wireTimeout)
+	}
+	if o.wireTimeoutSet && o.backend != "remote" && !fleet {
+		return errors.New("-wire-timeout has no effect without -backend=remote or a worker fleet (-workers/-worker-addrs)")
+	}
+	if o.stragglerSet && !fleet {
+		return errors.New("-straggler has no effect without a worker fleet (-workers/-worker-addrs)")
 	}
 	if o.faults != "" {
 		if o.backend != "remote" && !fleet {
@@ -315,7 +332,7 @@ func faultSites() string {
 // the process if any semantic wire/mirror mismatch was confirmed — faults
 // may be injected, but the two checkers disagreeing about logic must never
 // pass silently.
-func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSeed int64, wireTimeout time.Duration, wireBatch bool) func() {
+func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSeed int64, wireTimeout time.Duration) func() {
 	if kind == "inprocess" {
 		return func() {}
 	}
@@ -336,15 +353,12 @@ func setupBackend(r *eval.Runner, kind, checkerdAddr, faultSpec string, faultSee
 		fmt.Fprintf(os.Stderr, "backend: remote via checkerd at %s\n", addr)
 	}
 	pol := remote.DefaultPolicy()
-	if wireTimeout > 0 {
-		pol.RequestTimeout = wireTimeout
-	}
+	pol.RequestTimeout = wireTimeout
 	be := remote.New(addr, pol)
 	be.Plan = plan
 	be.Seed = faultSeed
 	be.PoolSize = r.Parallelism
 	be.StallFor = 2 * pol.RequestTimeout
-	be.Batch = wireBatch
 	if plan != nil {
 		fmt.Fprintf(os.Stderr, "backend: fault schedule %s (seed %d)\n", plan, faultSeed)
 	}
@@ -376,9 +390,7 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 		log.Fatalf("-faults: %v", err)
 	}
 	pol := remote.DefaultPolicy()
-	if wireTimeout > 0 {
-		pol.RequestTimeout = wireTimeout
-	}
+	pol.RequestTimeout = wireTimeout
 
 	var addrs []string
 	var fleet *sweep.Fleet
@@ -412,7 +424,6 @@ func setupDistributed(r *eval.Runner, n int, addrSpec string, stragglerAfter tim
 		Plan:     plan,
 		Seed:     faultSeed,
 		StallFor: 2 * pol.RequestTimeout,
-		Batch:    true,
 		Slots:    slots,
 	}
 	var ws []*sweep.Worker

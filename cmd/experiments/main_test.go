@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain doubles as the command itself when the test binary is invoked
@@ -21,7 +22,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestValidateFlags(t *testing.T) {
-	ok := options{fuel: 128, width: 8, backend: "inprocess", faultSeed: 1, proofCacheMirror: 16}
+	ok := options{fuel: 128, width: 8, backend: "inprocess", faultSeed: 1, proofCacheMirror: 16, wireTimeout: 5 * time.Second}
 	for _, tc := range []struct {
 		name string
 		edit func(*options)
@@ -43,9 +44,18 @@ func TestValidateFlags(t *testing.T) {
 		{"fleet and remote", func(o *options) { o.backend, o.workers = "remote", 2 }, "mutually exclusive"},
 		{"worker addrs and remote", func(o *options) { o.backend, o.workerAddrs = "remote", "127.0.0.1:1" }, "mutually exclusive"},
 		{"negative workers", func(o *options) { o.workers = -1 }, "-workers"},
-		{"wire batch with fleet", func(o *options) { o.workers, o.wireBatchSet = 2, true }, "-wire-batch has no effect"},
-		{"wire batch with worker addrs", func(o *options) { o.workerAddrs, o.wireBatchSet = "127.0.0.1:1", true }, "-wire-batch has no effect"},
-		{"wire batch with remote", func(o *options) { o.backend, o.wireBatchSet = "remote", true }, ""},
+		{"wire timeout with fleet", func(o *options) { o.workers, o.wireTimeoutSet = 2, true }, ""},
+		{"wire timeout with worker addrs", func(o *options) { o.workerAddrs, o.wireTimeoutSet = "127.0.0.1:1", true }, ""},
+		{"wire timeout with remote", func(o *options) { o.backend, o.wireTimeoutSet = "remote", true }, ""},
+		{"wire timeout in process", func(o *options) { o.wireTimeoutSet = true }, "-wire-timeout has no effect"},
+		{"zero wire timeout", func(o *options) { o.backend, o.wireTimeout = "remote", 0 }, "-wire-timeout must be > 0"},
+		{"negative wire timeout", func(o *options) { o.workers, o.wireTimeout = 2, -time.Second }, "-wire-timeout must be > 0"},
+		{"checkerd with remote", func(o *options) { o.backend, o.checkerd = "remote", "127.0.0.1:1" }, ""},
+		{"checkerd in process", func(o *options) { o.checkerd = "127.0.0.1:1" }, "-checkerd has no effect"},
+		{"checkerd with fleet", func(o *options) { o.workers, o.checkerd = 2, "127.0.0.1:1" }, "-checkerd has no effect"},
+		{"straggler with fleet", func(o *options) { o.workers, o.stragglerSet = 2, true }, ""},
+		{"straggler in process", func(o *options) { o.stragglerSet = true }, "-straggler has no effect"},
+		{"straggler with remote", func(o *options) { o.backend, o.stragglerSet = "remote", true }, "-straggler has no effect"},
 		{"proof cache", func(o *options) { o.proofCache = "/tmp/pc" }, ""},
 		{"proof cache read-only", func(o *options) { o.proofCache, o.proofCacheRO = "/tmp/pc", true }, ""},
 		{"proof cache mirror", func(o *options) { o.proofCache, o.proofCacheMirror, o.mirrorSet = "/tmp/pc", 4, true }, ""},
@@ -71,7 +81,8 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestRejectedFlagsExit2 runs the command with flags it must refuse: the
-// execution-mode switches that no longer exist, and out-of-range budgets.
+// execution-mode switches that no longer exist, out-of-range budgets and
+// timeouts, and wire flags that nothing would read.
 // Each must exit 2 with its complaint on stderr, before any work starts
 // (nothing reaches stdout).
 func TestRejectedFlagsExit2(t *testing.T) {
@@ -84,6 +95,11 @@ func TestRejectedFlagsExit2(t *testing.T) {
 		{[]string{"-intern=false"}, "flag provided but not defined: -intern"},
 		{[]string{"-search-arena=false"}, "flag provided but not defined: -search-arena"},
 		{[]string{"-par", "4"}, "flag provided but not defined: -par"},
+		{[]string{"-wire-batch=false"}, "flag provided but not defined: -wire-batch"},
+		{[]string{"-backend=remote", "-wire-timeout", "0"}, "-wire-timeout must be > 0"},
+		{[]string{"-checkerd", "127.0.0.1:1"}, "-checkerd has no effect"},
+		{[]string{"-wire-timeout", "1s"}, "-wire-timeout has no effect"},
+		{[]string{"-straggler", "1s"}, "-straggler has no effect"},
 		{[]string{"-fuel", "0"}, "-fuel must be >= 1"},
 		{[]string{"-width", "0"}, "-width must be >= 1"},
 		{[]string{"-parallelism", "-3"}, "-parallelism must be >= 0"},

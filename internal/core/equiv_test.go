@@ -62,7 +62,6 @@ func startBatchedBackend(t *testing.T) *remote.Backend {
 	go srv.Serve() //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
 	be := remote.New(addr, remote.DefaultPolicy())
-	be.Batch = true
 	return be
 }
 

@@ -87,6 +87,31 @@ func TestFoundProofsReplay(t *testing.T) {
 	}
 }
 
+// A search's own claim is certified like any foreign record: a custom
+// Search that answers Proved with a script the kernel rejects does not
+// count, and the replay failure is counted once per claim on the counter
+// every copy of the Runner shares.
+func TestOwnSearchProofIsReplayed(t *testing.T) {
+	r, c := runner(t)
+	r.Search = func(core.Config) core.Result {
+		return core.Result{Status: core.Proved, Proof: []string{"reflexivity"}, Queries: 1}
+	}
+	th, _ := c.TheoremNamed("plus_comm")
+	out := r.RunTheorem(model.GPT4o, prompt.Hint, th)
+	if out.Status == core.Proved || out.Proof != "" || out.GenTokens != 0 {
+		t.Fatalf("a proof the kernel rejects counted: %+v", out)
+	}
+	if n := r.ReplayFailures(); n != 1 {
+		t.Fatalf("ReplayFailures = %d; want 1", n)
+	}
+	ablation := *r
+	ablation.Width = 2
+	ablation.RunTheorem(model.GPT4o, prompt.Hint, th)
+	if n := r.ReplayFailures(); n != 2 {
+		t.Fatalf("ReplayFailures = %d after a failing copy; want 2 (the counter is shared)", n)
+	}
+}
+
 func TestSweepTables(t *testing.T) {
 	r, _ := runner(t)
 	ths := r.TestSet()

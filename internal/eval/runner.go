@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"llmfscq/internal/checker"
 	"llmfscq/internal/core"
@@ -20,8 +21,6 @@ import (
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/store"
 	"llmfscq/internal/tactic"
-	"llmfscq/internal/textmetrics"
-	"llmfscq/internal/tokenizer"
 )
 
 // Outcome is the result of one (theorem, model, setting) search.
@@ -63,9 +62,9 @@ type Runner struct {
 	// ProofStore, when non-nil, persists per-theorem search outcomes across
 	// processes (internal/store): a warm re-sweep at the same
 	// corpus/seed/hyperparameters skips whole searches. Results are
-	// byte-identical warm or cold — stored fields are exactly the search's
-	// irreproducible outputs, derived metrics are recomputed, and a
-	// deterministic mirror sample re-executes live to cross-check.
+	// byte-identical warm or cold: a stored record is certified like any
+	// other (trust.go), derived metrics are recomputed, and a deterministic
+	// mirror sample re-executes live to cross-check.
 	ProofStore *store.Cache
 	// SearchName names a custom Search func for the persistent outcome key
 	// ("best-first" is implied when Search is nil). A custom Search with an
@@ -92,6 +91,8 @@ type Runner struct {
 	retrIdx *model.RetrCache
 	// persist holds the persistence fingerprints (see store.go).
 	persist *persistIndex
+	// replayFails counts records that failed certification (trust.go).
+	replayFails *atomic.Int64
 }
 
 // envIndex caches the restricted environments behind a once so that Runner
@@ -111,16 +112,17 @@ type promptIndex struct {
 // 50% hint split.
 func NewRunner(c *corpus.Corpus, seed int64) *Runner {
 	return &Runner{
-		Corpus:     c,
-		HintSet:    prompt.HintSplit(c, 0.5, seed),
-		Width:      8,
-		QueryLimit: 128,
-		Seed:       seed,
-		envs:       &envIndex{},
-		prompts:    &promptIndex{},
-		ngrams:     &sync.Map{},
-		retrIdx:    model.NewRetrCache(),
-		persist:    newPersistIndex(),
+		Corpus:      c,
+		HintSet:     prompt.HintSplit(c, 0.5, seed),
+		Width:       8,
+		QueryLimit:  128,
+		Seed:        seed,
+		envs:        &envIndex{},
+		prompts:     &promptIndex{},
+		ngrams:      &sync.Map{},
+		retrIdx:     model.NewRetrCache(),
+		persist:     newPersistIndex(),
+		replayFails: &atomic.Int64{},
 	}
 }
 
@@ -169,9 +171,6 @@ func (r *Runner) Subsample(ths []*corpus.Theorem, frac float64) []*corpus.Theore
 // LemmaOrder backing array — is shared with the full environment, which the
 // tactic layer treats as immutable.
 func (r *Runner) RestrictEnv(th *corpus.Theorem) *kernel.Env {
-	if r.envs == nil {
-		return restrictOne(r.Corpus.Env, th.Name)
-	}
 	r.envs.once.Do(func() {
 		r.envs.byName = buildPrefixEnvs(r.Corpus.Env)
 	})
@@ -226,8 +225,8 @@ func buildPrefixEnvs(full *kernel.Env) map[string]*kernel.Env {
 	return envs
 }
 
-// restrictOne is the uncached fallback (zero-value Runners, names outside
-// the corpus): the original clone-and-delete restriction.
+// restrictOne is the uncached fallback for names outside the corpus: the
+// original clone-and-delete restriction.
 func restrictOne(full *kernel.Env, name string) *kernel.Env {
 	env := full.Clone()
 	cut := -1
@@ -270,21 +269,17 @@ func (r *Runner) jobSeed(thName, modelName, setting string) int64 {
 }
 
 // builder assembles a prompt.Builder for one model/setting, wired to the
-// shared item cache when the runner has one.
+// shared item cache.
 func (r *Runner) builder(prof model.Profile, setting prompt.Setting) prompt.Builder {
-	var cache *prompt.Cache
-	if r.prompts != nil {
-		r.prompts.once.Do(func() {
-			r.prompts.cache = prompt.NewCache(r.Corpus, r.HintSet)
-		})
-		cache = r.prompts.cache
-	}
+	r.prompts.once.Do(func() {
+		r.prompts.cache = prompt.NewCache(r.Corpus, r.HintSet)
+	})
 	return prompt.Builder{
 		Corpus:  r.Corpus,
 		Setting: setting,
 		HintSet: r.HintSet,
 		Window:  prof.ContextWindow,
-		Cache:   cache,
+		Cache:   r.prompts.cache,
 	}
 }
 
@@ -295,9 +290,6 @@ func (r *Runner) builder(prof model.Profile, setting prompt.Setting) prompt.Buil
 // yield identical models. The cached model is immutable and shared across
 // grid workers.
 func (r *Runner) ngramFor(pr *prompt.Prompt) *model.NGram {
-	if r.ngrams == nil {
-		return model.BuildNGram(pr)
-	}
 	var key strings.Builder
 	for i := range pr.Items {
 		if pr.Items[i].Proof != "" {
@@ -315,98 +307,53 @@ func (r *Runner) ngramFor(pr *prompt.Prompt) *model.NGram {
 
 // RunTheorem searches for a proof of one theorem with one model/setting.
 func (r *Runner) RunTheorem(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
-	env := r.RestrictEnv(th)
-	b := r.builder(prof, setting)
-	pr := b.Build(th)
-	return r.runWithPrompt(prof, setting, th, env, pr, "std")
-}
-
-// runWithPrompt runs one search. variant distinguishes experiment flavors
-// that share a theorem and setting but not a prompt ("std", "reduced") in
-// the persistent outcome key.
-func (r *Runner) runWithPrompt(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, env *kernel.Env, pr *prompt.Prompt, variant string) Outcome {
-	key, persisted := r.outcomeKey(prof, setting.String(), variant, r.searchName(), th, env)
-	var warm Outcome
-	warmHit, mirror := false, false
-	if persisted {
-		if rec, ok := r.ProofStore.LookupOutcome(key); ok {
-			warm = r.rebuildOutcome(prof, setting.String(), th, rec)
-			warmHit = true
-			// Mirror-first: a deterministic sample of warm hits runs the
-			// search anyway and compares; the rest return the warm result.
-			mirror = r.ProofStore.MirrorOutcome(key)
-			if !mirror {
-				return warm
-			}
-		}
-	}
-
-	ng := r.ngramFor(pr)
-	mdl := model.New(prof, env)
-	mdl.Retr = r.retrIdx
-	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String())))
-
-	cfg := core.Config{
-		Env:  env,
-		Stmt: th.Stmt,
-		Propose: func(st *tactic.State, path []string) []model.Candidate {
-			return mdl.Propose(pr, st, path, ng, rng)
-		},
-		Width:      r.Width,
-		QueryLimit: r.QueryLimit,
-		Backend:    r.Backend,
-		Lemma:      th.Name,
-	}
-	search := r.Search
-	if search == nil {
-		search = core.BestFirst
-	}
-	res := search(cfg)
-
-	out := Outcome{
-		Theorem:     th.Name,
-		File:        th.File,
-		Category:    th.Category,
-		Model:       prof.Name,
-		Setting:     setting.String(),
-		Status:      res.Status,
-		Queries:     res.Queries,
-		HumanTokens: tokenizer.Count(th.Proof),
-	}
-	if res.Status == core.Proved {
-		sentences := make([]string, len(res.Proof))
-		for i, s := range res.Proof {
-			s = strings.TrimSpace(s)
-			if !strings.HasSuffix(s, ".") {
-				s += "."
-			}
-			sentences[i] = s
-		}
-		out.Proof = strings.Join(sentences, " ")
-		out.GenTokens = tokenizer.Count(out.Proof)
-		out.Similarity = textmetrics.Similarity(out.Proof, th.Proof)
-		out.RelLength = textmetrics.RelativeLength(out.Proof, th.Proof)
-	}
-	if persisted {
-		if warmHit && mirror {
-			r.ProofStore.NoteMirror(out == warm)
-		}
-		r.ProofStore.RecordOutcome(key, store.OutcomeRec{
-			Status:  uint8(out.Status),
-			Queries: out.Queries,
-			Proof:   out.Proof,
-		})
-	}
-	return out
+	return r.settle(r.searchTask(prof, setting, th, unitVariant, (*prompt.Builder).Build))
 }
 
 // RunReduced runs the §4.3 probe: the same search but with a hand-reduced,
 // dependency-only context.
 func (r *Runner) RunReduced(prof model.Profile, setting prompt.Setting, th *corpus.Theorem) Outcome {
+	return r.settle(r.searchTask(prof, setting, th, "reduced", (*prompt.Builder).ReducedContext))
+}
+
+// searchTask describes one search of th over the prompt build renders.
+// variant distinguishes experiment flavors that share a theorem and
+// setting but not a prompt ("std", "reduced") in the persistent outcome
+// key.
+func (r *Runner) searchTask(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, variant string, build func(*prompt.Builder, *corpus.Theorem) *prompt.Prompt) *task {
 	env := r.RestrictEnv(th)
-	b := r.builder(prof, setting)
-	pr := b.ReducedContext(th)
-	return r.runWithPrompt(prof, setting, th, env, pr, "reduced")
+	t := &task{prof: prof, setting: setting.String(), th: th}
+	_, t.fuel = r.effectiveBudget()
+	t.key, t.persist = r.outcomeKey(prof, t.setting, variant, r.searchName(), th, env)
+	t.run = func() store.OutcomeRec {
+		b := r.builder(prof, setting)
+		pr := build(&b, th)
+		ng := r.ngramFor(pr)
+		mdl := model.New(prof, env)
+		mdl.Retr = r.retrIdx
+		rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, t.setting)))
+		search := r.Search
+		if search == nil {
+			search = core.BestFirst
+		}
+		res := search(core.Config{
+			Env:  env,
+			Stmt: th.Stmt,
+			Propose: func(st *tactic.State, path []string) []model.Candidate {
+				return mdl.Propose(pr, st, path, ng, rng)
+			},
+			Width:      r.Width,
+			QueryLimit: r.QueryLimit,
+			Backend:    r.Backend,
+			Lemma:      th.Name,
+		})
+		rec := store.OutcomeRec{Status: uint8(res.Status), Queries: res.Queries}
+		if res.Status == core.Proved {
+			rec.Proof = joinScript(res.Proof)
+		}
+		return rec
+	}
+	return t
 }
 
 // RunSweep evaluates a model over theorems in one setting, fanning out over
@@ -421,70 +368,45 @@ func (r *Runner) RunSweep(prof model.Profile, setting prompt.Setting, ths []*cor
 // Outcome whose Status is Proved only if some attempt replays.
 func (r *Runner) RunWholeProof(prof model.Profile, setting prompt.Setting, th *corpus.Theorem, attempts int) Outcome {
 	env := r.RestrictEnv(th)
+	t := &task{prof: prof, setting: setting.String() + "+whole-proof", th: th, fuel: attempts}
 	// Whole-proof generation has no search algorithm, but its outcomes are
 	// just as deterministic; "whole-proof" stands in for the search name and
 	// the attempt budget goes in the variant.
-	key, persisted := r.outcomeKey(prof, setting.String()+"+whole-proof", "whole:"+strconv.Itoa(attempts), "whole-proof", th, env)
-	var warm Outcome
-	warmHit, mirror := false, false
-	if persisted {
-		if rec, ok := r.ProofStore.LookupOutcome(key); ok {
-			warm = r.rebuildOutcome(prof, setting.String()+"+whole-proof", th, rec)
-			warmHit = true
-			mirror = r.ProofStore.MirrorOutcome(key)
-			if !mirror {
-				return warm
+	t.key, t.persist = r.outcomeKey(prof, t.setting, "whole:"+strconv.Itoa(attempts), "whole-proof", th, env)
+	t.run = func() store.OutcomeRec {
+		b := r.builder(prof, setting)
+		pr := b.Build(th)
+		ng := r.ngramFor(pr)
+		mdl := model.New(prof, env)
+		mdl.Retr = r.retrIdx
+		rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String()+"/whole")))
+		rec := store.OutcomeRec{Status: uint8(core.Stuck)}
+		for rec.Queries < attempts {
+			script := joinScript(mdl.WholeProof(pr, th.Stmt, ng, rng, 24))
+			rec.Queries++ // one "query" per full completion
+			if script != "" && tactic.CheckProof(env, th.Stmt, script) == nil {
+				rec.Status, rec.Proof = uint8(core.Proved), script
+				break
 			}
 		}
+		return rec
 	}
-	b := r.builder(prof, setting)
-	pr := b.Build(th)
-	ng := r.ngramFor(pr)
-	mdl := model.New(prof, env)
-	mdl.Retr = r.retrIdx
-	rng := rand.New(rand.NewSource(r.jobSeed(th.Name, prof.Name, setting.String()+"/whole")))
+	return r.settle(t)
+}
 
-	out := Outcome{
-		Theorem:     th.Name,
-		File:        th.File,
-		Category:    th.Category,
-		Model:       prof.Name,
-		Setting:     setting.String() + "+whole-proof",
-		Status:      core.Stuck,
-		HumanTokens: tokenizer.Count(th.Proof),
-	}
-	for a := 0; a < attempts; a++ {
-		script := mdl.WholeProof(pr, th.Stmt, ng, rng, 24)
-		out.Queries++ // one "query" per full completion
-		for i, sentence := range script {
-			sentence = strings.TrimSpace(sentence)
-			if !strings.HasSuffix(sentence, ".") {
-				sentence += "."
-			}
-			script[i] = sentence
+// joinScript renders proof sentences as one script, each trimmed and
+// ending in a period.
+func joinScript(sentences []string) string {
+	var b strings.Builder
+	for i, s := range sentences {
+		s = strings.TrimSpace(s)
+		if i > 0 {
+			b.WriteByte(' ')
 		}
-		joined := strings.Join(script, " ")
-		if joined == "" {
-			continue
-		}
-		if err := tactic.CheckProof(env, th.Stmt, joined); err == nil {
-			out.Status = core.Proved
-			out.Proof = joined
-			out.GenTokens = tokenizer.Count(joined)
-			out.Similarity = textmetrics.Similarity(joined, th.Proof)
-			out.RelLength = textmetrics.RelativeLength(joined, th.Proof)
-			break
+		b.WriteString(s)
+		if !strings.HasSuffix(s, ".") {
+			b.WriteByte('.')
 		}
 	}
-	if persisted {
-		if warmHit && mirror {
-			r.ProofStore.NoteMirror(out == warm)
-		}
-		r.ProofStore.RecordOutcome(key, store.OutcomeRec{
-			Status:  uint8(out.Status),
-			Queries: out.Queries,
-			Proof:   out.Proof,
-		})
-	}
-	return out
+	return b.String()
 }

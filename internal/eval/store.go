@@ -14,14 +14,11 @@ import (
 	"sort"
 	"sync"
 
-	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/kernel"
 	"llmfscq/internal/model"
 	"llmfscq/internal/store"
 	"llmfscq/internal/tactic"
-	"llmfscq/internal/textmetrics"
-	"llmfscq/internal/tokenizer"
 )
 
 // Key-hasher tags for the persistence fingerprints (arbitrary, fixed).
@@ -136,7 +133,7 @@ func (r *Runner) effectiveBudget() (width, fuel int) {
 // variant) search. ok is false when outcome persistence is off for this
 // run (no store, or an anonymous custom search).
 func (r *Runner) outcomeKey(prof model.Profile, settingStr, variant, search string, th *corpus.Theorem, env *kernel.Env) (store.OutcomeKey, bool) {
-	if r.ProofStore == nil || r.persist == nil || search == "" {
+	if r.ProofStore == nil || search == "" {
 		return store.OutcomeKey{}, false
 	}
 	return r.unitKey(prof, settingStr, variant, search, th, env), true
@@ -159,31 +156,6 @@ func (r *Runner) unitKey(prof model.Profile, settingStr, variant, search string,
 		Fuel:    fuel,
 		Seed:    r.Seed,
 	}
-}
-
-// rebuildOutcome reconstructs a full Outcome from its persisted record.
-// Only the search's irreproducible results are stored (status, query
-// count, proof script); every derived metric is recomputed here with the
-// same code the cold path uses, so a warm Outcome is equal by construction
-// — the property the mirror sample cross-checks.
-func (r *Runner) rebuildOutcome(prof model.Profile, settingStr string, th *corpus.Theorem, rec store.OutcomeRec) Outcome {
-	out := Outcome{
-		Theorem:     th.Name,
-		File:        th.File,
-		Category:    th.Category,
-		Model:       prof.Name,
-		Setting:     settingStr,
-		Status:      core.Status(rec.Status),
-		Queries:     rec.Queries,
-		HumanTokens: tokenizer.Count(th.Proof),
-	}
-	if out.Status == core.Proved {
-		out.Proof = rec.Proof
-		out.GenTokens = tokenizer.Count(out.Proof)
-		out.Similarity = textmetrics.Similarity(out.Proof, th.Proof)
-		out.RelLength = textmetrics.RelativeLength(out.Proof, th.Proof)
-	}
-	return out
 }
 
 // FlushProofStore flushes the store's write-behind queue. Call once at end

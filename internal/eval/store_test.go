@@ -6,9 +6,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"llmfscq/internal/checker"
+	"llmfscq/internal/core"
 	"llmfscq/internal/corpus"
 	"llmfscq/internal/model"
 	"llmfscq/internal/prompt"
@@ -245,19 +247,12 @@ func TestTornTailBackfillsByteIdentical(t *testing.T) {
 	}
 }
 
-// The mirror sample is the integrity net: tamper with a persisted outcome
-// on disk and a MirrorDen=1 warm run must (a) catch the disagreement and
-// (b) still return the live result, not the corrupt one.
-func TestMirrorCatchesTamperedRecord(t *testing.T) {
-	dir := t.TempDir()
-	hash := corpusHash(t)
-
-	r1, pc1 := storeRunner(t, dir, hash, 1)
-	cold := sweepSlice(t, r1)
-	finishRun(t, r1, pc1)
-
-	// Bump the query count of every outcome record ('O' namespace) in
-	// place via the raw store: status(1) | queries(u32) | proof.
+// tamperOutcomes rewrites every outcome record ('O' namespace) of the
+// store at dir in place through the raw store; edit returns the new value
+// (status(1) | queries(u32) | proof), or nil to leave a record alone. It
+// returns how many records it rewrote.
+func tamperOutcomes(t *testing.T, dir string, edit func(val []byte) []byte) int {
+	t.Helper()
 	raw, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -271,13 +266,10 @@ func TestMirrorCatchesTamperedRecord(t *testing.T) {
 		if len(key) == 0 || key[0] != 'O' || len(val) < 5 {
 			return
 		}
-		v := append([]byte(nil), val...)
-		v[4]++
-		tampered = append(tampered, kv{key, v})
+		if v := edit(append([]byte(nil), val...)); v != nil {
+			tampered = append(tampered, kv{key, v})
+		}
 	})
-	if len(tampered) == 0 {
-		t.Fatal("no outcome records to tamper with")
-	}
 	for _, e := range tampered {
 		if err := raw.Put([]byte(e.key), e.val); err != nil {
 			t.Fatal(err)
@@ -286,17 +278,77 @@ func TestMirrorCatchesTamperedRecord(t *testing.T) {
 	if err := raw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return len(tampered)
+}
 
-	r2, pc2 := storeRunner(t, dir, hash, 1)
-	warm := sweepSlice(t, r2)
-	r2.FlushProofStore()
-	if n := r2.ProofStoreMismatches(); n == 0 {
-		t.Fatal("tampered records passed the mirror cross-check")
-	}
-	if err := pc2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("mirrored run must return live results, not tampered ones")
-	}
+// The store is an untrusted outcome source: tamper with persisted outcomes
+// on disk and a warm run must catch it and still return the live results,
+// never the corrupt ones.
+func TestMirrorCatchesTamperedRecord(t *testing.T) {
+	// A bumped query count is invisible to the kernel; with MirrorDen=1
+	// every hit is recomputed live, and the sample catches it.
+	t.Run("mirror", func(t *testing.T) {
+		dir := t.TempDir()
+		hash := corpusHash(t)
+		r1, pc1 := storeRunner(t, dir, hash, 1)
+		cold := sweepSlice(t, r1)
+		finishRun(t, r1, pc1)
+
+		n := tamperOutcomes(t, dir, func(v []byte) []byte {
+			v[4]++
+			return v
+		})
+		if n == 0 {
+			t.Fatal("no outcome records to tamper with")
+		}
+
+		r2, pc2 := storeRunner(t, dir, hash, 1)
+		warm := sweepSlice(t, r2)
+		r2.FlushProofStore()
+		if n := r2.ProofStoreMismatches(); n == 0 {
+			t.Fatal("tampered records passed the mirror cross-check")
+		}
+		if err := pc2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Fatal("mirrored run must return live results, not tampered ones")
+		}
+	})
+
+	// With the mirror off, a Proved record whose script lost its closing
+	// sentence still cannot count: certification replays every Proved
+	// hit through the kernel, recomputes the unit, and counts the failure.
+	t.Run("replay", func(t *testing.T) {
+		dir := t.TempDir()
+		hash := corpusHash(t)
+		r1, pc1 := storeRunner(t, dir, hash, 0)
+		cold := sweepSlice(t, r1)
+		finishRun(t, r1, pc1)
+
+		n := tamperOutcomes(t, dir, func(v []byte) []byte {
+			if core.Status(v[0]) != core.Proved {
+				return nil
+			}
+			proof := strings.TrimSuffix(string(v[5:]), ".")
+			cut := strings.LastIndex(proof, ".") + 1
+			return append(v[:5], strings.TrimSpace(proof[:cut])...)
+		})
+		if n == 0 {
+			t.Fatal("no Proved outcome records to tamper with")
+		}
+
+		r2, pc2 := storeRunner(t, dir, hash, 0)
+		warm := sweepSlice(t, r2)
+		st := finishRun(t, r2, pc2)
+		if st.MirrorChecks != 0 {
+			t.Fatalf("%d mirror checks with the mirror off", st.MirrorChecks)
+		}
+		if got := r2.ReplayFailures(); got != int64(n) {
+			t.Fatalf("ReplayFailures = %d; want one per tampered Proved record (%d)", got, n)
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Fatalf("tampered proofs reached the tables:\ncold %+v\nwarm %+v", cold, warm)
+		}
+	})
 }

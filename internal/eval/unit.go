@@ -3,14 +3,11 @@
 // worker runs it through its own Runner (UnitHandler), and the coordinator
 // certifies the returned record before it counts (AcceptUnit). A worker's
 // record is untrusted, exactly like a record read back from the proof
-// store, and is checked the same way: Coq's Qed discipline for proofs
-// (replay through the kernel), plus a deterministic mirror sample that
-// recomputes the unit in process and compares.
+// store, and goes through the same trust layer (trust.go).
 
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -20,24 +17,12 @@ import (
 	"llmfscq/internal/prompt"
 	"llmfscq/internal/protocol"
 	"llmfscq/internal/store"
-	"llmfscq/internal/tactic"
 )
 
 // UnitMirrorDen samples roughly one remote unit in UnitMirrorDen for a
 // local recomputation, with the store's mirror rule (store.MirrorPick):
 // the same units are sampled on every run, whatever the schedule.
 const UnitMirrorDen = 16
-
-// Certification failures. Both mean a worker's record is wrong — a broken
-// or lying worker, or a nondeterministic search — and must fail the run.
-var (
-	// ErrReplay: a record that cannot be certified — a Proved script the
-	// kernel rejects, or a status or query count no search can produce.
-	ErrReplay = errors.New("eval: remote unit failed kernel replay")
-	// ErrMismatch: a sampled record that differs from the local
-	// recomputation of its unit.
-	ErrMismatch = errors.New("eval: remote unit disagrees with local recomputation")
-)
 
 // unitVariant is the experiment variant a grid unit runs (RunTheorem's).
 const unitVariant = "std"
@@ -56,7 +41,7 @@ var searches = map[string]func(core.Config) core.Result{
 // warm path answers it, mirror sample included).
 func (r *Runner) UnitRequest(jobs []GridJob, u GridUnit) (req protocol.UnitRequest, ok bool) {
 	search := r.searchName()
-	if _, known := searches[search]; !known || r.persist == nil {
+	if _, known := searches[search]; !known {
 		return req, false
 	}
 	j := jobs[u.Job]
@@ -68,52 +53,17 @@ func (r *Runner) UnitRequest(jobs []GridJob, u GridUnit) (req protocol.UnitReque
 	return protocol.UnitRequest{Corpus: r.Corpus.Hash, Key: key, Theorem: th.Name, Model: j.Profile.Name}, true
 }
 
-// AcceptUnit certifies a worker's record for unit u and returns the unit's
-// Outcome. A Proved script is replayed through the kernel in the theorem's
-// restricted environment, and units in the mirror sample are recomputed in
-// process and compared. On a failure (an error wrapping ErrReplay or
-// ErrMismatch) the returned Outcome is the local recomputation, so the
-// tables stay right while the caller fails the run. An accepted record is
-// filed in the proof store, when there is one, like a cold result.
+// AcceptUnit certifies a worker's record for unit u through the trust
+// layer (accept) and returns the unit's Outcome. On a failure (an error
+// wrapping ErrReplay or ErrMismatch) the returned Outcome is the local
+// recomputation, so the tables stay right while the caller fails the run.
+// An accepted record is filed in the proof store, when there is one, like
+// a cold result.
 func (r *Runner) AcceptUnit(jobs []GridJob, u GridUnit, req protocol.UnitRequest, rec store.OutcomeRec) (Outcome, error) {
 	j := jobs[u.Job]
-	th := j.Theorems[u.Th]
-	if err := r.certify(th, rec); err != nil {
-		return r.RunUnit(jobs, u), fmt.Errorf("%w: %s (%s, %s): %v", ErrReplay, th.Name, j.Profile.Name, j.Setting, err)
-	}
-	out := r.rebuildOutcome(j.Profile, j.Setting.String(), th, rec)
-	if store.MirrorPick(req.Corpus, req.Key, UnitMirrorDen) {
-		local := r.RunUnit(jobs, u)
-		if local != out {
-			return local, fmt.Errorf("%w: %s (%s, %s): worker %v after %d queries, local %v after %d",
-				ErrMismatch, th.Name, j.Profile.Name, j.Setting, out.Status, out.Queries, local.Status, local.Queries)
-		}
-		return local, nil
-	}
-	if r.ProofStore != nil {
-		r.ProofStore.RecordOutcome(req.Key, rec)
-	}
-	return out, nil
-}
-
-// certify checks what can be checked of a record without rerunning its
-// search: a known status, a query count within the budget, and — the
-// trust base — a Proved script that the kernel replays from the root.
-func (r *Runner) certify(th *corpus.Theorem, rec store.OutcomeRec) error {
-	_, fuel := r.effectiveBudget()
-	if rec.Queries < 0 || rec.Queries > fuel {
-		return fmt.Errorf("query count %d outside [0, %d]", rec.Queries, fuel)
-	}
-	switch core.Status(rec.Status) {
-	case core.Proved:
-		return tactic.CheckProof(r.RestrictEnv(th), th.Stmt, rec.Proof)
-	case core.Stuck, core.Fuelout:
-		if rec.Proof != "" {
-			return errors.New("unproved record carries a proof")
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown status %d", rec.Status)
+	t := r.searchTask(j.Profile, j.Setting, j.Theorems[u.Th], unitVariant, (*prompt.Builder).Build)
+	t.key = req.Key
+	return r.accept(t, workerAnswer, rec)
 }
 
 // UnitHandler is the worker side of the RunUnit op

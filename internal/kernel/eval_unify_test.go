@@ -160,7 +160,7 @@ func TestFindInstanceForm(t *testing.T) {
 	// Find plus ?a O inside a formula and confirm the matched subterm.
 	flex := map[string]bool{"?a": true}
 	f := Eq(A("S", A("plus", V("k"), A("O"))), V("k"))
-	inst, sub, ok := FindInstanceForm(A("plus", V("?a"), A("O")), f, flex, Subst{})
+	inst, sub, ok := FindInstanceFormS(A("plus", V("?a"), A("O")), f, flex, Subst{}, nil)
 	if !ok {
 		t.Fatal("instance not found")
 	}

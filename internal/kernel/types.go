@@ -122,16 +122,6 @@ type Datatype struct {
 	Constructors []Constructor
 }
 
-// ConstructorNamed returns the constructor with the given name, if any.
-func (d *Datatype) ConstructorNamed(name string) (Constructor, bool) {
-	for _, c := range d.Constructors {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Constructor{}, false
-}
-
 // FunDef is a (possibly recursive) function definition: a parameter list and
 // a body term, Gallina-style. Recursion is by self-reference in the body;
 // evaluation is fuel-bounded, so non-termination is impossible at runtime.

@@ -64,9 +64,9 @@ type Backend struct {
 	// PoolSize caps concurrent wire sessions; documents beyond it run
 	// local-only rather than block a search worker.
 	PoolSize int
-	// Batch advertises ExecBatch execution to the search engine: a whole
-	// expansion's sibling sentences cross-check in one round trip instead
-	// of one per sentence. Off, documents expose only lockstep Try.
+	// Batch is ignored: every document cross-checks a whole expansion in
+	// one ExecBatch round trip. The field is kept so existing
+	// configurations still build.
 	Batch bool
 
 	// Stats is live while the backend runs.
@@ -169,45 +169,27 @@ func (b *Backend) NewDoc(env *kernel.Env, stmt *kernel.Form, lemma string) (chec
 		root:  root,
 		rng:   rand.New(rand.NewSource(b.Seed ^ b.docID.Add(1)*0x5851f42d4c957f2d)),
 	}
-	// The checker.BatchDoc assertion is how the search engine discovers
-	// batching, so a lockstep backend must hand out a doc type that does
-	// not implement it.
-	var doc checker.Doc = d
-	if !b.Batch {
-		doc = lockstepDoc{d}
-	}
 	if lemma == "" || !b.breaker.Allow() {
 		b.Stats.LocalDocs.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	select {
 	case b.pool <- struct{}{}:
 		d.pooled = true
 	default:
 		b.Stats.LocalDocs.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	if err := d.connect(); err != nil {
 		// The wire is down; the document still works, locally.
 		b.breaker.Failure()
 		d.release()
 		b.Stats.LocalDocs.Add(1)
-		return doc, nil
+		return d, nil
 	}
 	b.breaker.Success()
-	return doc, nil
+	return d, nil
 }
-
-// lockstepDoc hides wireDoc's TryBatch so the search engine falls back to
-// one round trip per sentence (the pre-ExecBatch behavior, kept for
-// comparison runs and benchmarks).
-type lockstepDoc struct{ d *wireDoc }
-
-func (l lockstepDoc) Try(parent *tactic.State, path []string, sentence string) checker.Step {
-	return l.d.Try(parent, path, sentence)
-}
-func (l lockstepDoc) Root() *tactic.State { return l.d.Root() }
-func (l lockstepDoc) Close() error        { return l.d.Close() }
 
 // wireDoc is one proof attempt: a local mirror that is authoritative for
 // the search, plus (when connected) a wire session cross-checking every
@@ -271,27 +253,17 @@ func (d *wireDoc) connect() error {
 	return nil
 }
 
-// Try applies sentence at the state reached by path. The mirror result is
-// computed first and is what the search sees; the wire execution is a
-// cross-check that can only move counters, never the answer.
+// Try is TryBatch for one sentence.
 func (d *wireDoc) Try(parent *tactic.State, path []string, sentence string) checker.Step {
-	res := checker.TryTactic(parent, sentence)
-	step := checker.Step{Status: res.Status, NumGoals: res.NumGoals, State: res.State, Err: res.Err}
-	if res.Status == checker.Applied {
-		step.Proved = res.State.Done()
-	}
-	d.mu.Lock()
-	if d.cl != nil {
-		d.crossCheck(path, sentence, step)
-	}
-	d.mu.Unlock()
-	return step
+	one := [1]string{sentence}
+	return d.TryBatch(parent, path, one[:])[0]
 }
 
-// TryBatch is Try for a whole expansion: every sentence is mirrored
-// locally (authoritative, exactly as Try), then the connected wire session
-// cross-checks all of them in one ExecBatch round trip through the same
-// retry/resurrect/degrade ladder as lockstep execution.
+// TryBatch applies every sentence of an expansion at the state reached by
+// path. The mirror results are computed first and are what the search
+// sees; the connected wire session then cross-checks all of them in one
+// ExecBatch round trip through the retry/resurrect/degrade ladder, which
+// can only move counters, never the answer.
 func (d *wireDoc) TryBatch(parent *tactic.State, path []string, sentences []string) []checker.Step {
 	steps := make([]checker.Step, len(sentences))
 	for i, sentence := range sentences {
@@ -318,13 +290,7 @@ type mismatchError struct{ msg string }
 // compares checker messages), so the render happens at construction.
 func (e *mismatchError) Error() string { return e.msg }
 
-// crossCheck runs the full robustness ladder for one wire execution.
-// Called with d.mu held and d.cl non-nil.
-func (d *wireDoc) crossCheck(path []string, sentence string, local checker.Step) {
-	d.ladder(1, func() error { return d.wireStep(path, sentence, local) })
-}
-
-// ladder drives one wire exchange (lockstep or batched) through the
+// ladder drives one wire exchange through the
 // robustness ladder: per-request deadlines are the client's, transport
 // failures retry with backoff after resurrecting the session, a mismatch
 // reproduced on a fresh session counts as semantic, and exhausted retries
@@ -415,22 +381,6 @@ func compare(sentence string, res protocol.ExecResult, local checker.Step) error
 		}
 	}
 	return nil
-}
-
-// wireStep moves the wire session to the state at path and executes
-// sentence there, comparing the answer with the mirror's verdict.
-func (d *wireDoc) wireStep(path []string, sentence string, local checker.Step) error {
-	if err := d.align(path); err != nil {
-		return err
-	}
-	res, err := d.cl.Exec(sentence)
-	if err != nil {
-		return err
-	}
-	if res.Status == checker.Applied {
-		d.wirePath = append(d.wirePath, sentence)
-	}
-	return compare(sentence, res, local)
 }
 
 // wireBatch aligns the session with path and cross-checks a whole

@@ -36,7 +36,7 @@ func runScriptBatched(t testing.TB, be checker.Backend, env *kernel.Env, lemma s
 	defer doc.Close()
 	bd, ok := doc.(checker.BatchDoc)
 	if !ok {
-		t.Fatalf("backend with Batch=true returned a %T without TryBatch", doc)
+		t.Fatalf("backend returned a %T without TryBatch", doc)
 	}
 	parent := doc.Root()
 	var path []string
@@ -60,22 +60,25 @@ func runScriptBatched(t testing.TB, be checker.Backend, env *kernel.Env, lemma s
 	return lines
 }
 
-// TestBatchedBackendDocShape: the Batch flag is what switches the document
-// type — off, the engine must only see a lockstep Doc; on, a BatchDoc.
+// TestBatchedBackendDocShape: every document the backend hands out, on
+// the wire or local-only, is a checker.BatchDoc, so the search engine
+// always sends a whole expansion in one round trip.
 func TestBatchedBackendDocShape(t *testing.T) {
 	env, addr := startCheckerd(t)
 	lem := env.Lemmas["app_nil_r"]
-	for _, batch := range []bool{false, true} {
-		be := New(addr, fastPolicy())
-		be.Batch = batch
-		doc, err := be.NewDoc(env, lem.Stmt, "app_nil_r")
+	be := New(addr, fastPolicy())
+	for _, lemma := range []string{"app_nil_r", ""} {
+		doc, err := be.NewDoc(env, lem.Stmt, lemma)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := doc.(checker.BatchDoc); ok != batch {
-			t.Fatalf("Batch=%v: document %T, BatchDoc=%v", batch, doc, ok)
+		if _, ok := doc.(checker.BatchDoc); !ok {
+			t.Fatalf("lemma %q: document %T is not a checker.BatchDoc", lemma, doc)
 		}
 		doc.Close()
+	}
+	if n := be.Stats.LocalDocs.Load(); n != 1 {
+		t.Fatalf("LocalDocs = %d; want 1 (only the unnamed statement runs local-only)", n)
 	}
 }
 
@@ -88,7 +91,6 @@ func TestBatchedBackendConformance(t *testing.T) {
 		local := runScript(t, checker.InProcess{}, env, ps.lemma, ps.script)
 
 		be := New(addr, fastPolicy())
-		be.Batch = true
 		batched := runScriptBatched(t, be, env, ps.lemma, ps.script)
 		if len(batched) != len(local) {
 			t.Fatalf("%s: %d batched probes, %d local", ps.lemma, len(batched), len(local))
@@ -124,7 +126,6 @@ func TestBatchedChaosDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		be := New(addr, fastPolicy())
-		be.Batch = true
 		be.Plan = plan
 		be.StallFor = 400 * time.Millisecond
 		for _, ps := range proofScripts {
@@ -146,7 +147,8 @@ func TestBatchedChaosDeterminism(t *testing.T) {
 }
 
 // TestBatchedChaosRecoveryCounters: the retry and resurrection ladder runs
-// for batched round trips exactly as for lockstep ones.
+// for batched round trips: drops and corrupt answers are retried on a
+// resurrected session, never counted as semantic mismatches.
 func TestBatchedChaosRecoveryCounters(t *testing.T) {
 	env, addr := startCheckerd(t)
 	plan, err := faultpoint.ParsePlan(7, "drop-conn=0.15,corrupt-answer=0.1")
@@ -154,7 +156,6 @@ func TestBatchedChaosRecoveryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := New(addr, fastPolicy())
-	be.Batch = true
 	be.Plan = plan
 	for round := 0; round < 3; round++ {
 		for _, ps := range proofScripts {

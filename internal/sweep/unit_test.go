@@ -51,7 +51,7 @@ func runFleet(t *testing.T, r *eval.Runner, jobs []eval.GridJob, h protocol.Unit
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Batch: true, Slots: 2})
+	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Slots: 2})
 	t.Cleanup(func() { CloseWorkers(workers) }) //nolint:errcheck
 	co := New(r, workers)
 	return co, co.RunGrid(jobs), workers
@@ -182,7 +182,7 @@ func TestUnitTransportFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Plan: plan, Batch: true, Slots: 2, StallFor: 60 * time.Millisecond})
+	workers := fleet.Workers(WorkerOptions{Policy: fastPolicy(), Plan: plan, Slots: 2, StallFor: 60 * time.Millisecond})
 	defer CloseWorkers(workers) //nolint:errcheck
 	for _, w := range workers {
 		// Faults this dense would bench every worker early (the health

@@ -98,8 +98,9 @@ type WorkerOptions struct {
 	Seed int64
 	// StallFor is how long an injected connection stall blocks.
 	StallFor time.Duration
-	// Batch advertises ExecBatch on the workers' tactic-level Backend; it
-	// does not affect units, which travel whole.
+	// Batch is ignored: units travel whole, and the workers' tactic-level
+	// Backend always batches. The field is kept so existing configurations
+	// still build.
 	Batch bool
 	// Slots is the per-worker unit concurrency (<=0: 1); it also sizes the
 	// backend's session pools, so every slot keeps its own parked session.
@@ -118,7 +119,6 @@ func DialWorkers(addrs []string, opt WorkerOptions) []*Worker {
 		be.Plan = opt.Plan
 		be.Seed = opt.Seed + int64(i)
 		be.StallFor = opt.StallFor
-		be.Batch = opt.Batch
 		slots := opt.Slots
 		if slots <= 0 {
 			slots = 1

@@ -71,7 +71,6 @@ type Goal struct {
 	// copies cannot see a stale value.
 	fp        atomic.Pointer[string]    // textual Fingerprint (boundary/display)
 	fpk       atomic.Pointer[[2]uint64] // FingerprintKey (pruning)
-	strict    atomic.Pointer[string]    // StrictString (concrete rendering)
 	strictKey atomic.Pointer[[2]uint64] // StrictKey (cache identity)
 }
 
@@ -218,25 +217,10 @@ func (g *Goal) String() string {
 	return b.String()
 }
 
-// StrictString returns the goal's concrete rendering — the same text as
-// String — memoized on the goal. Where Fingerprint deliberately forgets
-// variable and hypothesis names (for duplicate-state pruning), StrictString
-// keeps them: tactics observe concrete names, so caches keyed on proof
-// states must use this identity. Goals are shared unchanged between a
-// state and its successors, so each distinct goal renders once per search.
-func (g *Goal) StrictString() string {
-	if p := g.strict.Load(); p != nil {
-		return *p
-	}
-	s := g.String()
-	g.strict.Store(&s)
-	return s
-}
-
 // StrictKey returns a 128-bit hash of the goal's concrete identity: variable
 // names and types, hypothesis names and formulas, and the conclusion, all via
 // the kernel's stored strict structural hashes. Equal keys coincide (w.h.p.)
-// with equal StrictStrings, but computing one is an O(#hyps) combine over
+// with equal concrete renderings (String), but computing one is an O(#hyps) combine over
 // precomputed node hashes with no rendering.
 func (g *Goal) StrictKey() [2]uint64 {
 	if p := g.strictKey.Load(); p != nil {
